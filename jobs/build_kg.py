@@ -25,7 +25,7 @@ def main() -> None:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    result = e3_growth.run(spark, n_entities=250, n_ticks=4, n_sources=4, verbose=True)
+    result = e3_growth.run(spark, n_entities=250, n_ticks=4, n_sources=4)
     print(e3_growth.format_rows(result))
     print("linking quality:", e3_growth.linking_quality(result))
 

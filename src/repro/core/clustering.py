@@ -1,10 +1,10 @@
 """Resolution (§2.3 Linking step 5): signed linkage graph → entity clusters.
 
 High-confidence match probabilities become +1 edges, high-confidence
-non-matches −1 edges.  Connected components over the +edges (distributed
-min-label propagation) bound the scope; a greedy pivot correlation
-clustering runs locally per component (``applyInPandas`` co-group), honoring
-−edges and the invariant that a cluster contains **at most one KG entity**.
+non-matches −1 edges.  The signed edges are collected into Python;
+union-find over the +edges splits them into connected components, and a
+greedy pivot correlation clustering runs per component, honoring −edges
+and the invariant that a cluster contains **at most one KG entity**.
 """
 from __future__ import annotations
 
@@ -35,63 +35,8 @@ def signed_edges(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
     )
 
 
-def connected_components(pos_edges: DataFrame, *, max_iter: int = 25) -> DataFrame:
-    """(node, component) via min-label propagation over undirected +edges.
-
-    Components in linkage graphs are duplicate clusters — tiny diameter —
-    so the loop converges in a handful of join rounds.  Raises if the
-    iteration cap is hit without convergence (never expected; a correctness
-    guard rather than a silent truncation).
-    """
-    # eager local checkpoints truncate the logical plan each round —
-    # iterative self-referencing plans otherwise grow exponentially and
-    # stall Catalyst analysis long before any data moves.
-    und = (
-        pos_edges.select("a", "b")
-        .union(pos_edges.select(F.col("b").alias("a"), F.col("a").alias("b")))
-        .distinct()
-        .localCheckpoint(eager=True)
-    )
-    labels = (
-        und.select(F.col("a").alias("node"))
-        .distinct()
-        .withColumn("component", F.col("node"))
-        .localCheckpoint(eager=True)
-    )
-    for _ in range(max_iter):
-        nbr_min = (
-            und.join(labels, und.b == labels.node)
-            .groupBy("a")
-            .agg(F.min("component").alias("nbr_component"))
-            .withColumnRenamed("a", "node")
-        )
-        new_labels = (
-            labels.withColumnRenamed("component", "old_component")
-            .join(nbr_min, "node", "left")
-            .select(
-                "node",
-                "old_component",
-                F.least(
-                    F.col("old_component"),
-                    F.coalesce("nbr_component", "old_component"),
-                ).alias("component"),
-            )
-            .localCheckpoint(eager=True)
-        )
-        changed = (
-            new_labels.filter(F.col("component") != F.col("old_component"))
-            .limit(1)
-            .count()
-        )
-        labels = new_labels.select("node", "component")
-        if changed == 0:
-            return labels
-    raise RuntimeError(f"connected_components did not converge in {max_iter} iters")
-
-
 def _pivot_cluster(nodes: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
-    """Greedy pivot correlation clustering of one component (driver-free:
-    runs inside an executor task via applyInPandas).
+    """Greedy pivot correlation clustering of one connected component.
 
     Ordering is deterministic: KG entities pivot first (so source entities
     attach to the existing graph entity when possible), then lexicographic.
@@ -124,56 +69,19 @@ def _pivot_cluster(nodes: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def cluster_entities(
-    scored: DataFrame, *, hi: float, lo: float, strategy: str = "local"
-) -> DataFrame:
+def cluster_entities(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
     """(subject, cluster) for every node of the signed linkage graph.
 
     Nodes untouched by any +edge do not appear — callers treat absent
     subjects as singleton clusters of themselves.
 
-    ``strategy='local'`` (default) collects the signed edges — which are
-    orders of magnitude smaller than the blocked pair set — and resolves
-    on the driver (union-find + greedy pivot per component); matching,
-    the quadratic stage, stays distributed.  ``strategy='distributed'``
-    uses iterative min-label propagation + per-component ``applyInPandas``
-    — the shape a multi-node deployment would use — at the cost of one
-    Spark job per propagation round.
+    The signed edges — orders of magnitude fewer than the blocked pair
+    set — are collected and resolved in Python: union-find over the
+    +edges, then greedy pivot per component honoring −edges and the
+    ≤1-KG-entity invariant.  Matching, the quadratic stage, stays
+    distributed.
     """
     edges = signed_edges(scored, hi=hi, lo=lo).localCheckpoint(eager=True)
-    if strategy == "local":
-        return _cluster_local(edges)
-    if strategy != "distributed":
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    pos = edges.filter(F.col("sign") > 0)
-    comp = connected_components(pos)
-
-    # re-alias both cogroup sides so the shared lineage through `comp`
-    # does not make the grouping attribute ambiguous
-    nodes = comp.select(
-        F.col("component").alias("component"), F.col("node").alias("subject")
-    )
-    comp_a = comp.select(
-        F.col("node").alias("a"), F.col("component").alias("ecomp")
-    )
-    edges_c = edges.join(comp_a, "a").select(
-        F.col("ecomp").alias("component"), "a", "b", "sign"
-    )
-
-    out = (
-        nodes.groupBy("component")
-        .cogroup(edges_c.groupBy("component"))
-        .applyInPandas(
-            lambda n, e: _pivot_cluster(n, e), schema=CLUSTER_SCHEMA
-        )
-    )
-    return out
-
-
-def _cluster_local(edges: DataFrame) -> DataFrame:
-    """Driver-side resolution: union-find over +edges, then greedy pivot
-    per component honoring −edges and the ≤1-KG-entity invariant."""
     pdf = edges.toPandas()
     spark = edges.sparkSession
     if pdf.empty:
@@ -204,8 +112,6 @@ def _cluster_local(edges: DataFrame) -> DataFrame:
     for a, b, sign in zip(pdf.a, pdf.b, pdf.sign):
         if a in parent and b in parent and find(a) == find(b):
             comp_edges.setdefault(find(a), []).append((a, b, int(sign)))
-
-    import pandas as pd  # local alias for frame construction
 
     outs = []
     for root, nodes in comp_nodes.items():

@@ -87,24 +87,12 @@ class ConstructionPipeline:
         *,
         learned=None,
         obr_enabled: bool = True,
-        truth_discovery_iters: int = 2,
-        verbose: bool = False,
     ):
         from repro.sparktune import tune
 
         self.spark = tune(spark, shuffle_partitions=None)
         self.learned = learned
         self.obr_enabled = obr_enabled
-        self.td_iters = truth_discovery_iters
-        self.verbose = verbose
-
-    def _log(self, msg: str, t0: float) -> float:
-        import time
-
-        now = time.time()
-        if self.verbose:
-            print(f"[construction] {msg}: {now - t0:.1f}s", flush=True)
-        return now
 
     # -- per-source pipeline ------------------------------------------------
     def consume_source(
@@ -207,11 +195,7 @@ class ConstructionPipeline:
 
     # -- one construction round over all sources ----------------------------
     def consume_tick(
-        self,
-        kg: KnowledgeGraph,
-        payloads: list[SourcePayload],
-        *,
-        run_truth_discovery: bool = True,
+        self, kg: KnowledgeGraph, payloads: list[SourcePayload]
     ) -> KnowledgeGraph:
         """Consume every source's delta; fusion is the sync point (Fig 5).
 
@@ -221,24 +205,16 @@ class ConstructionPipeline:
         OBR resolver is built once per tick from the tick-start KG — new
         entities land in the resolver at the next tick, mirroring the
         freshness semantics of an engine-maintained NERD view (§5.2).
+        Truth discovery closes the tick; only the triples it refines are
+        checkpointed again.
         """
-        import time
-
-        t0 = time.time()
         resolver = build_resolver(kg.triples, learned=self.learned) if self.obr_enabled else None
-        t0 = self._log("build_resolver", t0)
         for payload in payloads:
             kg_records = match_records(kg.triples).localCheckpoint(eager=True)
-            t0 = self._log(f"{payload.cfg.name}: kg_records", t0)
             kg = self.consume_source(kg, payload, kg_records, resolver)
-            t0 = self._log(f"{payload.cfg.name}: consume", t0)
             kg = self._materialize(kg)
-            t0 = self._log(f"{payload.cfg.name}: materialize", t0)
-        if run_truth_discovery and not kg.triples.isEmpty():
-            kg = replace(kg, triples=truth_discovery(kg.triples, iters=self.td_iters))
-            kg = self._materialize(kg)
-            t0 = self._log("truth_discovery", t0)
-        return kg
+        refined = truth_discovery(kg.triples).localCheckpoint(eager=True)
+        return replace(kg, triples=refined)
 
     def _materialize(self, kg: KnowledgeGraph) -> KnowledgeGraph:
         """Truncate lineage so tick-over-tick iteration stays bounded."""

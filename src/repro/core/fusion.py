@@ -158,66 +158,21 @@ def retract_source(
 # truth discovery / source reliability
 # --------------------------------------------------------------------------
 
-def truth_discovery(kg_triples: DataFrame, *, iters: int = 3) -> DataFrame:
-    """Refine confidence of functional-predicate facts by iterating
-    source-reliability estimation (§2.3 Fusion).
+def _reliability(kg_triples: DataFrame, iters: int) -> tuple[DataFrame, DataFrame, DataFrame]:
+    """The truth-discovery loop, as lazy plans:
+    ``(claims, claim scores, source weights)`` after ``iters`` rounds.
 
     claim score  = Σ weight(supporting sources) / Σ weight(all sources
                    asserting *any* value for that (subject, predicate));
     source weight = mean claim score of the source's claims,
-    initialized from declared trust.  Non-functional facts keep their
-    corroboration confidence.
+    initialized from declared trust.
     """
-    func = list(S.FUNCTIONAL_PREDS)
-    claims = (
-        to_long(
-            kg_triples.filter(F.col("r_id").isNull() & F.col("predicate").isin(func))
-        )
-        .select("subject", "predicate", "obj", "source", "trust")
-        .persist()
-    )
-    if claims.isEmpty():
-        return kg_triples
-
-    weights = claims.groupBy("source").agg(F.avg("trust").alias("weight"))
-    for _ in range(iters):
-        w = claims.join(weights, "source")
-        support = w.groupBy("subject", "predicate", "obj").agg(
-            F.sum("weight").alias("w_support")
-        )
-        total = w.groupBy("subject", "predicate").agg(
-            F.sum("weight").alias("w_total")
-        )
-        scored = support.join(total, ["subject", "predicate"]).withColumn(
-            "claim_score", F.col("w_support") / F.col("w_total")
-        )
-        weights = (
-            claims.join(scored, ["subject", "predicate", "obj"])
-            .groupBy("source")
-            .agg(F.avg("claim_score").alias("weight"))
-        )
-    final = scored.select("subject", "predicate", "obj", "claim_score")
-    out = (
-        kg_triples.join(final, ["subject", "predicate", "obj"], "left")
-        .withColumn(
-            "confidence",
-            F.when(
-                F.col("r_id").isNull() & F.col("claim_score").isNotNull(),
-                F.col("claim_score"),
-            ).otherwise(F.col("confidence")),
-        )
-        .drop("claim_score")
-    )
-    return out
-
-
-def source_reliability(kg_triples: DataFrame, *, iters: int = 3) -> DataFrame:
-    """(source, weight) — the reliability estimates truth discovery infers."""
     func = list(S.FUNCTIONAL_PREDS)
     claims = to_long(
         kg_triples.filter(F.col("r_id").isNull() & F.col("predicate").isin(func))
     ).select("subject", "predicate", "obj", "source", "trust")
     weights = claims.groupBy("source").agg(F.avg("trust").alias("weight"))
+    scored = None
     for _ in range(iters):
         w = claims.join(weights, "source")
         support = w.groupBy("subject", "predicate", "obj").agg(
@@ -232,4 +187,33 @@ def source_reliability(kg_triples: DataFrame, *, iters: int = 3) -> DataFrame:
             .groupBy("source")
             .agg(F.avg("claim_score").alias("weight"))
         )
+    return claims, scored, weights
+
+
+def truth_discovery(kg_triples: DataFrame, *, iters: int = 2) -> DataFrame:
+    """Refine confidence of functional-predicate facts by iterating
+    source-reliability estimation (§2.3 Fusion): each fact with a claim
+    score from :func:`_reliability` takes it as its confidence.
+    Non-functional facts keep their corroboration confidence.
+    """
+    claims, scored, _ = _reliability(kg_triples, iters)
+    if claims.isEmpty():
+        return kg_triples
+    final = scored.select("subject", "predicate", "obj", "claim_score")
+    return (
+        kg_triples.join(final, ["subject", "predicate", "obj"], "left")
+        .withColumn(
+            "confidence",
+            F.when(
+                F.col("r_id").isNull() & F.col("claim_score").isNotNull(),
+                F.col("claim_score"),
+            ).otherwise(F.col("confidence")),
+        )
+        .drop("claim_score")
+    )
+
+
+def source_reliability(kg_triples: DataFrame, *, iters: int = 3) -> DataFrame:
+    """(source, weight) — the reliability estimates truth discovery infers."""
+    _, _, weights = _reliability(kg_triples, iters)
     return weights

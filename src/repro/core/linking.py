@@ -46,16 +46,10 @@ class LinkResult:
 
 def score_by_type(features: DataFrame) -> DataFrame:
     """Apply the per-entity-type matching model as one piecewise column."""
-    def z_for(model):
-        z = F.lit(model.bias)
-        for name, w in model.weights.items():
-            z = z + F.lit(w) * F.col(name)
-        return z
-
-    z = z_for(DEFAULT_MODEL)
+    z = DEFAULT_MODEL.z(F.col)
     expr = None
     for etype, model in MODELS_BY_TYPE.items():
-        branch = (F.col("etype") == etype, z_for(model))
+        branch = (F.col("etype") == etype, model.z(F.col))
         expr = F.when(*branch) if expr is None else expr.when(*branch)
     z = expr.otherwise(z) if expr is not None else z
     return features.withColumn("prob", F.lit(1.0) / (F.lit(1.0) + F.exp(-z)))
@@ -75,19 +69,8 @@ def link_source(
     construction tick by the caller and shared across the parallel source
     pipelines (§2.4 inter-source parallelism).
     """
-    import os, time
-
-    debug = bool(os.environ.get("REPRO_DEBUG"))
-
-    def _t(msg, t0=[time.time()]):
-        now = time.time()
-        if debug:
-            print(f"  [link {source_name}] {msg}: {now - t0[0]:.1f}s", flush=True)
-        t0[0] = now
-
     src_records = match_records(source_triples)
     combined = src_records.unionByName(kg_records).localCheckpoint(eager=True)
-    _t("records")
 
     pairs = candidate_pairs(combined).filter(
         ~(F.col("a").startswith("kg:") & F.col("b").startswith("kg:"))
@@ -97,7 +80,6 @@ def link_source(
     scored = score_by_type(feats.join(etype_of, "a", "left"))
 
     clusters = cluster_entities(scored, hi=HI, lo=LO).localCheckpoint(eager=True)
-    _t("cluster")
 
     kg_member = (
         clusters.filter(F.col("subject").startswith("kg:"))
@@ -137,5 +119,4 @@ def link_source(
         F.lit(source_name).alias("source"),
         F.lit(float(trust)).alias("trust"),
     )
-    _t("assemble")
     return LinkResult(link_map=link_map, same_as=same_as)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F, types as T
@@ -164,9 +164,8 @@ def featurize_pairs(
 class MatchingModel:
     """Calibrated logistic matching model (per entity type, config-driven).
 
-    ``prob = sigmoid(bias + Σ w_f · feature_f)``.  ``hi``/``lo`` are the
-    high-confidence match / non-match cutoffs used to build the signed
-    linkage graph for correlation clustering (§2.3 step 5).
+    ``prob = sigmoid(bias + Σ w_f · feature_f)``.  The signed-graph cutoffs
+    for correlation clustering are ``linking.HI``/``linking.LO``.
     """
 
     bias: float = -5.0
@@ -178,23 +177,22 @@ class MatchingModel:
         },
         hash=False,
     )
-    hi: float = 0.9
-    lo: float = 0.3
 
-    def score(self, features: DataFrame) -> DataFrame:
-        z = F.lit(self.bias)
+    def z(self, feature: Callable[[str], Any]) -> Any:
+        """The logit ``bias + Σ w_f · feature_f``, summed in weights order.
+
+        ``feature(name)`` gives a float (scalar scoring) or a Spark Column
+        (``linking.score_by_type``); both evaluate the same expression.
+        """
+        z = self.bias
         for name, w in self.weights.items():
-            z = z + F.lit(w) * F.col(name)
-        return features.withColumn("prob", F.lit(1.0) / (F.lit(1.0) + F.exp(-z)))
+            z = z + w * feature(name)
+        return z
 
     def prob_one(self, name_sim: float, attr_sim: float, attr_conflict: float) -> float:
         """Scalar scoring (for unit tests / calibration inspection)."""
-        z = self.bias + (
-            self.weights["name_sim"] * name_sim
-            + self.weights["attr_sim"] * attr_sim
-            + self.weights["attr_conflict"] * attr_conflict
-        )
-        return 1.0 / (1.0 + math.exp(-z))
+        feats = {"name_sim": name_sim, "attr_sim": attr_sim, "attr_conflict": attr_conflict}
+        return 1.0 / (1.0 + math.exp(-self.z(feats.__getitem__)))
 
 
 #: default per-type model registry; unlisted types use DEFAULT_MODEL.

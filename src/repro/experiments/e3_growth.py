@@ -43,12 +43,11 @@ def run(
     n_sources: int = 8,
     seed: int = 7,
     obr: bool = True,
-    verbose: bool = False,
 ) -> dict:
     tune(spark)
     uni = make_universe(n_entities=n_entities, seed=seed, n_ticks=n_ticks)
     sources = default_sources(saga_tick=saga_tick)[:n_sources]
-    pipe = ConstructionPipeline(spark, obr_enabled=obr, verbose=verbose)
+    pipe = ConstructionPipeline(spark, obr_enabled=obr)
     kg = empty_kg(spark)
     prev: dict[str, object] = {}
     timeline = []

@@ -75,7 +75,6 @@ BASELINE_CONFIG = ScorerConfig(
     use_context=False, use_type_hint=False, nil_score=1.0, temperature=0.4,
 )
 NERD_CONFIG = ScorerConfig()
-NERD_TYPED_CONFIG = ScorerConfig()  # same scorer; callers pass type hints
 
 
 class NERDIndex:

@@ -24,10 +24,13 @@ N_TICKS = 4
 
 @pytest.fixture(scope="module")
 def history(tuned_spark, uni):
-    """Construct over 3 ticks; returns per-tick KG states + snapshots."""
+    """Construct over 3 ticks; returns per-tick KG states + snapshots, and
+    the session's cached-frame count before the first tick and after each."""
     pipe = ConstructionPipeline(tuned_spark, obr_enabled=True)
     kg = empty_kg(tuned_spark)
     prev, states, snaps = {}, [], []
+    cache = tuned_spark._jsparkSession.sharedState().cacheManager()
+    cached = [cache.numCachedEntries()]
     for tick in (0, 2, 3):
         payloads, tick_snaps = [], {}
         for cfg in SOURCES:
@@ -40,21 +43,22 @@ def history(tuned_spark, uni):
         kg = pipe.consume_tick(kg, payloads)
         states.append(kg)
         snaps.append(tick_snaps)
-    return states, snaps
+        cached.append(cache.numCachedEntries())
+    return states, snaps, cached
 
 
 class TestStateEvolution:
     def test_kg_populated_at_bootstrap(self, history):
-        states, _ = history
+        states, _, _ = history
         c = states[0].counts()
         assert c["facts"] > 200 and c["entities"] > 30
 
     def test_facts_grow_over_time(self, history):
-        states, _ = history
+        states, _, _ = history
         assert states[-1].counts()["facts"] >= states[0].counts()["facts"]
 
     def test_every_link_target_exists_in_kg(self, history):
-        states, _ = history
+        states, _, _ = history
         kg = states[-1]
         targets = kg.links.select(F.col("kg_subject").alias("subject")).distinct()
         subjects = kg.triples.select("subject").distinct()
@@ -62,7 +66,7 @@ class TestStateEvolution:
         assert missing == 0
 
     def test_deleted_entities_lose_source_provenance(self, history, tuned_spark):
-        states, snaps = history
+        states, snaps, _ = history
         gone = set(snaps[0]["alpha"].entities.id) - set(snaps[-1]["alpha"].entities.id)
         if not gone:
             pytest.skip("no deletions in this window")
@@ -80,7 +84,7 @@ class TestStateEvolution:
             assert still == 0, f"{g} ({kg_id}) still carries alpha provenance"
 
     def test_updates_reflected_in_kg(self, history):
-        states, snaps = history
+        states, snaps, _ = history
         # find an entity whose alpha payload changed between tick 0 and 3
         s0 = snaps[0]["alpha"].entities.set_index("id")
         s3 = snaps[-1]["alpha"].entities.set_index("id")
@@ -105,8 +109,13 @@ class TestStateEvolution:
         }
         assert new_val in objs
 
+    def test_ticks_leave_no_cached_frames(self, history):
+        # state is kept by local checkpoints; a persist() per tick would leak
+        _, _, cached = history
+        assert cached == [cached[0]] * len(cached)
+
     def test_volatile_partition_overwritten_per_tick(self, history):
-        states, _ = history
+        states, _, _ = history
         assert "alpha" in states[-1].volatile
         vols = states[-1].volatile["alpha"]
         assert vols.select("predicate").distinct().first().predicate == "popularity"
@@ -115,12 +124,12 @@ class TestStateEvolution:
         assert dup == 0
 
     def test_same_as_provenance_recorded(self, history):
-        states, _ = history
+        states, _, _ = history
         n = states[-1].triples.filter(F.col("predicate") == S.SAME_AS_PRED).count()
         assert n > 0
 
     def test_obr_resolved_some_refs(self, history):
-        states, _ = history
+        states, _, _ = history
         resolved = states[-1].triples.filter(
             F.col("predicate").isin(list(S.REF_TARGET_TYPE))
             & F.col("obj").startswith("kg:")
@@ -132,7 +141,7 @@ class TestStateEvolution:
 class TestLinkingQuality:
     def test_cross_source_dedup(self, history, uni):
         """Two sources covering the same entity must converge on one KG id."""
-        states, snaps = history
+        states, snaps, _ = history
         links = states[-1].links.toPandas()
         truth = {}
         for src in SOURCES:
@@ -149,7 +158,7 @@ class TestLinkingQuality:
         assert (multi.n_kg == 1).mean() > 0.8
 
     def test_cluster_purity(self, history):
-        states, snaps = history
+        states, snaps, _ = history
         links = states[-1].links.toPandas()
         truth = {}
         for src in SOURCES:

@@ -1,6 +1,7 @@
 """Spark tests for fusion (§2.3): provenance merge, relationship-node
 alignment, retraction, truth discovery — with a DuckDB oracle check on the
-outer-join semantics of simple-fact fusion."""
+outer-join semantics of simple-fact fusion, and the oracle's own checks that
+it fails on a wrong result."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -121,6 +122,34 @@ class TestFuseSimpleFacts:
         )
 
 
+class TestOracle:
+    """``repro.oracle`` itself must fail on a wrong result or wrong columns."""
+
+    @pytest.fixture()
+    def facts(self, base_kg):
+        return base_kg.select("subject", "predicate", "obj", "confidence")
+
+    def test_oracle_catches_wrong_result(self, facts):
+        wrong = facts.groupBy("subject").agg(
+            (F.sum("confidence") + 1).alias("total")
+        )
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT subject, sum(confidence) AS total FROM facts GROUP BY 1",
+                facts=facts,
+            )
+
+    def test_oracle_catches_column_mismatch(self, facts):
+        got = facts.groupBy("subject").agg(F.count("*").alias("cnt"))
+        with pytest.raises(AssertionError, match="column mismatch"):
+            assert_equivalent(
+                got,
+                "SELECT subject, count(*) AS n FROM facts GROUP BY 1",
+                facts=facts,
+            )
+
+
 class TestRelationshipNodes:
     def test_similar_node_merges(self, tuned_spark, base_kg):
         src = _src(
@@ -196,6 +225,12 @@ class TestTruthDiscovery:
     def test_source_reliability_learns_bad_source(self, conflicted):
         w = {r.source: r.weight for r in source_reliability(conflicted, iters=3).collect()}
         assert w["s_bad"] < w["s1"]
+
+    def test_leaves_no_cached_frame(self, tuned_spark, conflicted):
+        cache = tuned_spark._jsparkSession.sharedState().cacheManager()
+        before = cache.numCachedEntries()
+        truth_discovery(conflicted).localCheckpoint(eager=True)
+        assert cache.numCachedEntries() <= before
 
     def test_non_functional_facts_unchanged(self, tuned_spark, base_kg):
         out = truth_discovery(base_kg, iters=2)

@@ -12,6 +12,7 @@ from repro.core.matching import (
     match_records,
     model_for,
 )
+from repro.core.linking import score_by_type
 
 
 class TestNameSimilarity:
@@ -93,6 +94,17 @@ class TestMatchingModel:
         generic = DEFAULT_MODEL.prob_one(0.9, 0.5, 0.0)
         strict = model_for("song").prob_one(0.9, 0.5, 0.0)
         assert strict < generic
+
+    def test_spark_scoring_matches_scalar_model(self, tuned_spark):
+        # linking's piecewise column applies each type's model: same logit
+        rows = [("song", 0.9, 0.5, 0.0), ("movie", 0.7, 0.2, 0.6),
+                ("person", 0.9, 0.5, 0.0), (None, 0.4, 1.0, 0.0)]
+        feats = tuned_spark.createDataFrame(
+            rows, "etype string, name_sim double, attr_sim double, attr_conflict double"
+        )
+        for r in score_by_type(feats).collect():
+            want = model_for(r.etype).prob_one(r.name_sim, r.attr_sim, r.attr_conflict)
+            assert r.prob == pytest.approx(want, rel=1e-12)
 
 
 class TestMatchRecords:
