@@ -12,6 +12,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F, types as T
 
 from repro.core.schema import is_kg_id
+from repro.sparktune import small_frame
 
 CLUSTER_SCHEMA = T.StructType(
     [
@@ -84,8 +85,6 @@ def cluster_entities(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
     edges = signed_edges(scored, hi=hi, lo=lo).localCheckpoint(eager=True)
     pdf = edges.toPandas()
     spark = edges.sparkSession
-    if pdf.empty:
-        return spark.createDataFrame([], CLUSTER_SCHEMA)
 
     parent: dict[str, str] = {}
 
@@ -119,6 +118,5 @@ def cluster_entities(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
         ed = pd.DataFrame(comp_edges.get(root, []), columns=["a", "b", "sign"])
         outs.append(_pivot_cluster(nd, ed))
     if not outs:  # only −edges: every node is its own singleton → absent
-        return spark.createDataFrame([], CLUSTER_SCHEMA)
-    result = pd.concat(outs, ignore_index=True)
-    return spark.createDataFrame(result, schema=CLUSTER_SCHEMA)
+        return small_frame(spark, CLUSTER_SCHEMA)
+    return small_frame(spark, CLUSTER_SCHEMA, pd.concat(outs, ignore_index=True))

@@ -23,6 +23,7 @@ from repro.core.fusion import fuse, retract_source, truth_discovery
 from repro.core.linking import link_source
 from repro.core.matching import match_records
 from repro.core.obr import build_resolver, resolve_objects
+from repro.sparktune import small_frame, tune
 
 LINK_SCHEMA = "subject string, kg_subject string"
 
@@ -63,8 +64,8 @@ class KnowledgeGraph:
 
 def empty_kg(spark: SparkSession) -> KnowledgeGraph:
     return KnowledgeGraph(
-        triples=spark.createDataFrame([], S.KG_TRIPLE_SCHEMA),
-        links=spark.createDataFrame([], LINK_SCHEMA),
+        triples=small_frame(spark, S.KG_TRIPLE_SCHEMA),
+        links=small_frame(spark, LINK_SCHEMA),
         volatile={},
     )
 
@@ -88,8 +89,6 @@ class ConstructionPipeline:
         learned=None,
         obr_enabled: bool = True,
     ):
-        from repro.sparktune import tune
-
         self.spark = tune(spark, shuffle_partitions=None)
         self.learned = learned
         self.obr_enabled = obr_enabled
@@ -125,7 +124,6 @@ class ConstructionPipeline:
                 kg_records,
                 source_name=src_name,
                 trust=cfg.trust,
-                learned=self.learned,
             )
             add_links = res.link_map.localCheckpoint(eager=True)
             add_same_as = res.same_as

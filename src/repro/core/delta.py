@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, functions as F
 
+from repro.sparktune import small_frame
+
 
 @dataclass
 class Delta:
@@ -57,9 +59,8 @@ def compute_delta(prev: DataFrame | None, cur: DataFrame) -> Delta:
     ``prev=None`` models onboarding a brand-new source: a full *Added*
     payload with empty *Deleted*/*Updated* (§2.4).
     """
-    spark = cur.sparkSession
     if prev is None:
-        empty_ids = spark.createDataFrame([], "subject string")
+        empty_ids = small_frame(cur.sparkSession, "subject string")
         return Delta(added=cur, updated=cur.limit(0), deleted=empty_ids)
 
     fp_prev = entity_fingerprints(prev).withColumnRenamed("fingerprint", "fp_prev")

@@ -15,6 +15,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F, types as T
 
 from repro.core import schema as S
 from repro.kgdata.sources import SourceConfig, SourceSnapshot
+from repro.sparktune import small_frame
 
 
 class IntegrityError(ValueError):
@@ -97,14 +98,13 @@ class IngestionPipeline:
 
     def _pdf_to_sdf(self, pdf: pd.DataFrame) -> DataFrame:
         if pdf.empty:
-            return self.spark.createDataFrame([], T.StructType([
-                T.StructField("id", T.StringType(), True)]))
+            return small_frame(self.spark, "id string")
         pdf = pdf.astype(object).where(pd.notna(pdf), None)
         pdf = pdf.map(lambda v: None if v is None else str(v))
         schema = T.StructType(
             [T.StructField(c, T.StringType(), True) for c in pdf.columns]
         )
-        return self.spark.createDataFrame(pdf, schema=schema)
+        return small_frame(self.spark, schema, pdf)
 
     # -- Entity Transform: entity-centric view + integrity checks --------
     def entity_transform(self, rows: DataFrame) -> DataFrame:
@@ -116,16 +116,28 @@ class IngestionPipeline:
             raise IntegrityError(f"{self.cfg.name}: duplicate predicate names {dupes}")
         if any(not c or not c.strip() for c in rows.columns):
             raise IntegrityError(f"{self.cfg.name}: empty predicate name")
-        n_null = rows.filter(F.col("id").isNull()).count()
+        # one action: per-id record counts give both the null-id records
+        # and up to five duplicated ids
+        n_null, dup = (
+            rows.groupBy("id")
+            .count()
+            .agg(
+                F.sum(F.when(F.col("id").isNull(), F.col("count"))),
+                F.slice(
+                    F.array_sort(F.collect_list(
+                        F.when(F.col("count") > 1, F.col("id"))
+                    )),
+                    1,
+                    5,
+                ),
+            )
+            .first()
+        )
         if n_null:
             raise IntegrityError(f"{self.cfg.name}: {n_null} records without ID")
-        dup = (
-            rows.groupBy("id").count().filter(F.col("count") > 1).limit(5).collect()
-        )
         if dup:
             raise IntegrityError(
-                f"{self.cfg.name}: non-unique entity IDs, e.g. "
-                f"{[r['id'] for r in dup]}"
+                f"{self.cfg.name}: non-unique entity IDs, e.g. {dup}"
             )
         return rows
 
@@ -189,9 +201,10 @@ class IngestionPipeline:
                 F.col("obj").cast("string").alias("obj"),
             )
         else:  # provider publishes no composite relationships at all
-            comp = self.spark.createDataFrame(
-                [], "subject string, predicate string, r_id string, "
-                    "r_predicate string, obj string"
+            comp = small_frame(
+                self.spark,
+                "subject string, predicate string, r_id string, "
+                "r_predicate string, obj string",
             )
         return (
             flat.unionByName(comp)
@@ -204,7 +217,7 @@ class IngestionPipeline:
         """Full pipeline → (stable extended triples, volatile triples)."""
         rows = self.import_snapshot(snap)
         if snap.entities.empty:
-            empty = self.spark.createDataFrame([], S.SOURCE_TRIPLE_SCHEMA)
+            empty = small_frame(self.spark, S.SOURCE_TRIPLE_SCHEMA)
             return empty, empty
         entities = self.entity_transform(rows)
         aligned = self.align(entities)

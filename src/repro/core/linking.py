@@ -61,7 +61,6 @@ def link_source(
     *,
     source_name: str,
     trust: float,
-    learned=None,
 ) -> LinkResult:
     """Link one source payload against the current KG.
 
@@ -75,7 +74,7 @@ def link_source(
     pairs = candidate_pairs(combined).filter(
         ~(F.col("a").startswith("kg:") & F.col("b").startswith("kg:"))
     )
-    feats = featurize_pairs(pairs, combined, learned=learned)
+    feats = featurize_pairs(pairs, combined)
     etype_of = combined.select(F.col("subject").alias("a"), "etype")
     scored = score_by_type(feats.join(etype_of, "a", "left"))
 

@@ -2,8 +2,12 @@
 
 ``match_records`` pivots extended triples into per-entity match records
 (surface forms + functional attributes).  ``featurize_pairs`` scores
-candidate pairs with the similarity library (optionally augmented by a
-learned :class:`repro.ml.neural_sim.NeuralStringSim`), and
+candidate pairs with the similarity library's measures, written as Spark
+built-in column expressions (``levenshtein``, padded 3-gram arrays with
+``array_intersect``/``array_union``, containment, higher-order functions
+over the aliases and attribute maps), so featurization runs in the JVM and
+starts no Python worker.  The scalar ``_name_similarity`` and
+``_attr_features`` are the reference the columns are tested against.
 ``MatchingModel`` turns features into a calibrated match probability.
 Models are config-driven and per-entity-type, as in the paper.
 """
@@ -11,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-import pandas as pd
-from pyspark.sql import DataFrame, functions as F, types as T
+from pyspark.sql import Column, DataFrame, functions as F, types as T
 
 from repro.core import schema as S
 from repro.ml import simfns
@@ -30,16 +33,6 @@ MATCH_RECORD_SCHEMA = T.StructType(
         T.StructField("etype", T.StringType(), True),
         T.StructField("aliases", T.ArrayType(T.StringType()), False),
         T.StructField("attrs", T.MapType(T.StringType(), T.StringType()), False),
-    ]
-)
-
-PAIR_FEATURE_SCHEMA = T.StructType(
-    [
-        T.StructField("a", T.StringType(), False),
-        T.StructField("b", T.StringType(), False),
-        T.StructField("name_sim", T.DoubleType(), False),
-        T.StructField("attr_sim", T.DoubleType(), False),
-        T.StructField("attr_conflict", T.DoubleType(), False),
     ]
 )
 
@@ -83,15 +76,18 @@ def match_records(triples: DataFrame) -> DataFrame:
     )
 
 
+#: surface forms per record that name similarity compares
+_ALIAS_CAP = 6
+
+
 def _name_similarity(
-    aliases_a: list[str], aliases_b: list[str], learned=None, cap: int = 6
+    aliases_a: list[str], aliases_b: list[str], cap: int = _ALIAS_CAP
 ) -> float:
     """Best surface-form similarity across the two alias sets.
 
-    Deterministic component: max of edit similarity, q-gram Jaccard and a
-    containment boost ("The Fairview" ⊃ "Fairview").  When a learned
-    similarity function is supplied it contributes too (§5.1: learned sims
-    featurize matching models out-of-the-box).
+    Max of edit similarity, q-gram Jaccard and a containment boost
+    ("The Fairview" ⊃ "Fairview").  The scalar reference of
+    ``featurize_pairs``' ``name_sim`` column.
     """
     best = 0.0
     for x in aliases_a[:cap]:
@@ -101,8 +97,6 @@ def _name_similarity(
             s = max(simfns.levenshtein_sim(x, y), simfns.jaccard_qgram(x, y))
             if nx and ny and (nx in ny or ny in nx):
                 s = max(s, 0.95)
-            if learned is not None:
-                s = max(s, learned.similarity(x, y))
             best = max(best, s)
             if best >= 1.0:
                 return 1.0
@@ -116,7 +110,8 @@ def _attr_features(attrs_a: dict, attrs_b: dict) -> tuple[float, float]:
     evidence of mismatch for sparse providers.  Predicates whose value is a
     KG reference on exactly one side are skipped: a pre-OBR source payload
     holds raw names where the KG holds resolved ids, and that namespace
-    difference is not a factual conflict.
+    difference is not a factual conflict.  The scalar reference of
+    ``featurize_pairs``' ``attr_sim``/``attr_conflict`` columns.
     """
     shared = []
     for k in set(attrs_a) & set(attrs_b):
@@ -130,34 +125,100 @@ def _attr_features(attrs_a: dict, attrs_b: dict) -> tuple[float, float]:
     return agree / len(shared), (len(shared) - agree) / len(shared)
 
 
-def featurize_pairs(
-    pairs: DataFrame, records: DataFrame, *, learned=None
-) -> DataFrame:
-    """Join pair endpoints to their match records and compute features."""
-    ra = records.select(
-        F.col("subject").alias("a"),
-        F.col("aliases").alias("aliases_a"),
-        F.col("attrs").alias("attrs_a"),
-    )
-    rb = records.select(
-        F.col("subject").alias("b"),
-        F.col("aliases").alias("aliases_b"),
-        F.col("attrs").alias("attrs_b"),
-    )
-    joined = pairs.join(ra, "a").join(rb, "b")
+#: whitespace as ``str.split()`` sees it: Unicode White_Space plus the
+#: ASCII information separators U+001C–U+001F
+_WHITESPACE = r"(?U)[\s\x{1c}-\x{1f}]+"
 
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            rows = []
-            for r in pdf.itertuples(index=False):
-                ns = _name_similarity(list(r.aliases_a), list(r.aliases_b), learned)
-                asim, acon = _attr_features(dict(r.attrs_a), dict(r.attrs_b))
-                rows.append((r.a, r.b, ns, asim, acon))
-            yield pd.DataFrame(
-                rows, columns=["a", "b", "name_sim", "attr_sim", "attr_conflict"]
-            )
 
-    return joined.mapInPandas(compute, schema=PAIR_FEATURE_SCHEMA)
+def _normalize(s: Column) -> Column:
+    """``simfns.normalize`` as a column.  Spark's ``lower`` equals
+    ``casefold`` on ASCII; beyond it they differ ("Straße")."""
+    return F.trim(F.regexp_replace(F.lower(s), _WHITESPACE, " "))
+
+
+def _surface_forms(aliases: Column, cap: int = _ALIAS_CAP) -> Column:
+    """The first ``cap`` aliases, each as (normalized form, its length, its
+    padded 3-gram set), computed once per record rather than per pair."""
+
+    def form(alias: Column) -> Column:
+        n = _normalize(alias)
+        padded = F.concat(F.lit("^"), n, F.lit("$"))
+        last = F.greatest(F.length(padded) - 2, F.lit(1))
+        grams = F.array_distinct(
+            F.transform(F.sequence(F.lit(1), last), lambda i: padded.substr(i, F.lit(3)))
+        )
+        return F.struct(n.alias("n"), F.length(n).alias("len"), grams.alias("grams"))
+
+    return F.transform(F.slice(aliases, 1, cap), form)
+
+
+def _form_similarity(x: Column, y: Column) -> Column:
+    """One alias pair's score in ``_name_similarity``: max of edit
+    similarity and q-gram Jaccard, lifted to 0.95 on containment."""
+    longest = F.greatest(x.len, y.len)
+    edit = F.when(longest == 0, F.lit(1.0)).otherwise(
+        F.lit(1.0) - F.levenshtein(x.n, y.n) / longest
+    )
+    jaccard = F.size(F.array_intersect(x.grams, y.grams)) / F.size(
+        F.array_union(x.grams, y.grams)
+    )
+    s = F.greatest(edit, jaccard)
+    contained = (x.len > 0) & (y.len > 0) & (y.n.contains(x.n) | x.n.contains(y.n))
+    return F.when(contained, F.greatest(s, F.lit(0.95))).otherwise(s)
+
+
+def _name_sim(forms_a: Column, forms_b: Column) -> Column:
+    """``_name_similarity``: the best score over all surface-form pairs."""
+    scores = F.flatten(
+        F.transform(forms_a, lambda x: F.transform(forms_b, lambda y: _form_similarity(x, y)))
+    )
+    return F.coalesce(F.array_max(scores), F.lit(0.0))
+
+
+def _attr_sims(attrs_a: Column, attrs_b: Column) -> tuple[Column, Column]:
+    """``_attr_features``: (agreement, conflict) over shared predicates."""
+    shared = F.filter(
+        F.array_intersect(F.map_keys(attrs_a), F.map_keys(attrs_b)),
+        lambda k: F.element_at(attrs_a, k).startswith("kg:")
+        == F.element_at(attrs_b, k).startswith("kg:"),
+    )
+    n = F.size(shared)
+    agree = F.size(
+        F.filter(
+            shared,
+            lambda k: _normalize(F.element_at(attrs_a, k))
+            == _normalize(F.element_at(attrs_b, k)),
+        )
+    )
+    return (
+        F.when(n == 0, F.lit(0.5)).otherwise(agree / n),
+        F.when(n == 0, F.lit(0.0)).otherwise((n - agree) / n),
+    )
+
+
+def featurize_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
+    """Join pair endpoints to their match records and compute features.
+
+    Built-in column expressions only, equal to ``_name_similarity`` and
+    ``_attr_features`` on every ASCII input, so no Python worker runs.
+    """
+
+    def side(s: str) -> DataFrame:
+        return records.select(
+            F.col("subject").alias(s),
+            _surface_forms(F.col("aliases")).alias(f"forms_{s}"),
+            F.col("attrs").alias(f"attrs_{s}"),
+        )
+
+    joined = pairs.join(side("a"), "a").join(side("b"), "b")
+    attr_sim, attr_conflict = _attr_sims(F.col("attrs_a"), F.col("attrs_b"))
+    return joined.select(
+        "a",
+        "b",
+        _name_sim(F.col("forms_a"), F.col("forms_b")).alias("name_sim"),
+        attr_sim.alias("attr_sim"),
+        attr_conflict.alias("attr_conflict"),
+    )
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ information.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core import schema as S
 from repro.ml.nerd import NERDIndex, NERD_CONFIG, view_from_kg
+from repro.sparktune import small_frame
 
 
 def build_resolver(kg_triples: DataFrame, *, learned=None) -> NERDIndex | None:
@@ -58,8 +60,11 @@ def resolve_objects(
             rows.append((r.slot, r.obj, pred.entity_id))
     if not rows:
         return src_triples
-    spark = src_triples.sparkSession
-    mapping = spark.createDataFrame(rows, "slot string, obj string, resolved string")
+    mapping = small_frame(
+        src_triples.sparkSession,
+        "slot string, obj string, resolved string",
+        pd.DataFrame(rows, columns=["slot", "obj", "resolved"]),
+    )
     out = (
         src_triples.withColumn("slot", slot)
         .join(F.broadcast(mapping), ["slot", "obj"], "left")

@@ -124,11 +124,14 @@ class ViewManager:
     ) -> DataFrame:
         """Incrementally maintain one materialized view.
 
+        Dependencies are read from their maintained copies; only one that
+        was never materialized is computed (with its own dependencies).
         Falls back to full recomputation when the definition registers no
         incremental procedure (views may specify different freshness SLAs).
         """
         vdef = self.catalog.get(name)
-        deps = self.materialize(base, list(vdef.deps)) if vdef.deps else {}
+        self.materialize(base, [d for d in vdef.deps if d not in self.materialized])
+        deps = {d: self.materialized[d] for d in vdef.deps}
         prev = self.materialized.get(name)
         if vdef.update is None or prev is None:
             new = vdef.create(base, deps)

@@ -5,7 +5,7 @@ state transitions (adds, updates, deletes, volatile overwrite) plus
 ground-truth linking quality of the resulting KG.
 """
 import pytest
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession, functions as F
 
 from repro.core import schema as S
 from repro.core.construction import ConstructionPipeline, SourcePayload, empty_kg
@@ -168,6 +168,71 @@ class TestLinkingQuality:
         valid = links.dropna(subset=["true_eid"])
         mixed = (valid.groupby("kg_subject").true_eid.nunique() > 1).sum()
         assert mixed / valid.kg_subject.nunique() < 0.05
+
+
+class TestNoPythonWorkers:
+    """Construction runs in the JVM: no frame is built from a Python list
+    (a Python RDD) and no plan evaluates Python code."""
+
+    #: physical operators that run Python workers (MapInPandas,
+    #: ArrowEvalPython, BatchEvalPython, FlatMapGroupsInPandas, ...)
+    PYTHON_OPERATORS = ("InPandas", "InArrow", "EvalPython")
+
+    @pytest.fixture(scope="class")
+    def traced(self, tuned_spark, uni):
+        """Onboarding plus one tick; returns what ``createDataFrame`` was
+        given and the physical plans of every SQL execution they ran."""
+        given = []
+        create = SparkSession.createDataFrame
+
+        def spy(session, data, *args, **kwargs):
+            given.append(type(data).__name__)
+            return create(session, data, *args, **kwargs)
+
+        jsc = tuned_spark.sparkContext._jsc.sc()
+        store = tuned_spark._jsparkSession.sharedState().statusStore()
+
+        def executions():
+            jsc.listenerBus().waitUntilEmpty()
+            seq = store.executionsList()
+            return [seq.apply(i) for i in range(seq.size())]
+
+        start = max((e.executionId() for e in executions()), default=-1)
+        fallback = "spark.sql.execution.arrow.pyspark.fallback.enabled"
+        old = tuned_spark.conf.get(fallback)
+        # an Arrow conversion that fails must fail here, not quietly fall
+        # back to a Python RDD
+        tuned_spark.conf.set(fallback, "false")
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(SparkSession, "createDataFrame", spy)
+                pipe = ConstructionPipeline(tuned_spark)
+                kg, prev = empty_kg(tuned_spark), {}
+                for tick in (0, 1):
+                    payloads = []
+                    for cfg in SOURCES:
+                        snap = source_snapshot(uni, cfg, tick, n_ticks=N_TICKS)
+                        triples, vol = IngestionPipeline(tuned_spark, cfg).run(snap)
+                        triples = triples.localCheckpoint(eager=True)
+                        delta = compute_delta(prev.get(cfg.name), triples)
+                        payloads.append(SourcePayload(cfg, delta, vol))
+                        prev[cfg.name] = triples
+                    kg = pipe.consume_tick(kg, payloads)
+        finally:
+            tuned_spark.conf.set(fallback, old)
+        plans = [e.physicalPlanDescription() for e in executions()
+                 if e.executionId() > start]
+        return given, plans
+
+    def test_no_frame_from_a_python_list(self, traced):
+        given, _ = traced
+        assert given and "list" not in given
+
+    def test_no_plan_runs_python(self, traced):
+        _, plans = traced
+        assert len(plans) > 20
+        bad = [p for p in plans if any(op in p for op in self.PYTHON_OPERATORS)]
+        assert not bad, bad[0]
 
 
 def pd_notna(v) -> bool:

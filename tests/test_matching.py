@@ -3,8 +3,12 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.blocking import candidate_pairs
+from repro.core.ingestion import IngestionPipeline
+from repro.core.linking import score_by_type
 from repro.core.matching import (
     DEFAULT_MODEL,
+    MATCH_RECORD_SCHEMA,
     MatchingModel,
     _attr_features,
     _name_similarity,
@@ -12,7 +16,7 @@ from repro.core.matching import (
     match_records,
     model_for,
 )
-from repro.core.linking import score_by_type
+from repro.kgdata.sources import SourceConfig, default_sources, source_snapshot
 
 
 class TestNameSimilarity:
@@ -41,13 +45,6 @@ class TestNameSimilarity:
     def test_symmetric(self):
         a, b = ["Robert Ashton"], ["Bob Ashton"]
         assert _name_similarity(a, b) == pytest.approx(_name_similarity(b, a))
-
-    def test_learned_similarity_hook(self):
-        class Fake:
-            def similarity(self, a, b):
-                return 0.99
-
-        assert _name_similarity(["abc"], ["xyz"], learned=Fake()) >= 0.99
 
 
 class TestAttrFeatures:
@@ -143,7 +140,8 @@ class TestFeaturizePairs:
                     "aliases": [["Robert Ashton"], ["Robrt Ashton"], ["Winter Story"]],
                     "attrs": [{"birthdate": "1970"}, {"birthdate": "1970"}, {}],
                 }
-            )
+            ),
+            schema=MATCH_RECORD_SCHEMA,
         )
         pairs = tuned_spark.createDataFrame(
             pd.DataFrame({"a": ["x", "x"], "b": ["y", "z"]})
@@ -152,3 +150,109 @@ class TestFeaturizePairs:
         assert feats[("x", "y")].name_sim > 0.85
         assert feats[("x", "y")].attr_sim == 1.0
         assert feats[("x", "z")].name_sim < 0.5
+
+
+def _features(pairs, records):
+    return {
+        (r.a, r.b): (r.name_sim, r.attr_sim, r.attr_conflict)
+        for r in featurize_pairs(pairs, records).collect()
+    }
+
+
+def _reference(pairs, records):
+    recs = {r.subject: r for r in records.collect()}
+    out = {}
+    for p in pairs.collect():
+        ra, rb = recs[p.a], recs[p.b]
+        out[(p.a, p.b)] = (
+            _name_similarity(list(ra.aliases), list(rb.aliases)),
+            *_attr_features(dict(ra.attrs), dict(rb.attrs)),
+        )
+    return out
+
+
+class TestNativeFeaturizer:
+    """The column featurizer equals the scalar reference exactly."""
+
+    CFG = SourceConfig("featsrc", ("person", "artist", "song", "city"),
+                       coverage=0.8, dup_prob=0.25, typo_prob=0.2)
+
+    @pytest.fixture(scope="class")
+    def source_records(self, tuned_spark, uni):
+        snap = source_snapshot(uni, self.CFG, 0)
+        triples, _ = IngestionPipeline(tuned_spark, self.CFG).run(snap)
+        return match_records(triples).localCheckpoint(eager=True)
+
+    def test_candidate_pairs_of_source_records(self, source_records):
+        pairs = candidate_pairs(source_records).localCheckpoint(eager=True)
+        want = _reference(pairs, source_records)
+        assert len(want) > 50
+        assert _features(pairs, source_records) == want
+
+    def test_candidate_pairs_against_fused_kg(self, source_records, small_kg):
+        # as in linking: source ∪ KG records, KG–KG pairs dropped, so one
+        # side's attributes hold resolved ``kg:`` ids, the other raw names
+        combined = source_records.unionByName(match_records(small_kg)).localCheckpoint(
+            eager=True
+        )
+        pairs = candidate_pairs(combined).filter(
+            ~(F.col("a").startswith("kg:") & F.col("b").startswith("kg:"))
+        ).localCheckpoint(eager=True)
+        want = _reference(pairs, combined)
+        assert len(want) > 200
+        assert any(s.startswith("kg:") for pair in want for s in pair)
+        assert _features(pairs, combined) == want
+
+    EDGE_RECORDS = [
+        ("none", "person", [], {}),
+        ("many", "person", [f"Name {i}" for i in range(6)] + ["Ab", "Name 7", "Name 8"],
+         {"x": "1"}),
+        ("one", "person", ["A"], {"x": "1 "}),
+        ("two", "person", ["Ab"], {"x": " 1"}),
+        ("ab_ws", "person", ["  a\tb\x1c "], {"x": "kg:3"}),
+        ("blank", "person", ["   "], {"x": "kg:3"}),
+        ("fair", "city", ["The  Fairview", "Fair"], {"country": "US", "tz": "kg:9"}),
+        ("fair2", "city", ["fairview"], {"country": "us", "tz": "UTC-5"}),
+        ("robert", "person", ["Robert\nAshton", "Bob Ashton"], {"birthdate": "1970"}),
+        ("robrt", "person", ["ROBRT ASHTON"], {"birthdate": "1971", "x": "kg:1"}),
+    ]
+
+    def test_edge_cases(self, tuned_spark):
+        recs = tuned_spark.createDataFrame(
+            pd.DataFrame(self.EDGE_RECORDS, columns=["subject", "etype", "aliases", "attrs"]),
+            schema=MATCH_RECORD_SCHEMA,
+        )
+        names = [r[0] for r in self.EDGE_RECORDS]
+        pairs = tuned_spark.createDataFrame(
+            pd.DataFrame([(a, b) for a in names for b in names], columns=["a", "b"])
+        )
+        want = _reference(pairs, recs)
+        assert want[("many", "two")][0] < 1.0  # "Ab" is the 7th alias: past the cap
+        assert want[("one", "two")][0] > 0.0    # 1–2 chars: padded 3-grams meet
+        assert want[("fair", "fair2")][0] == 0.95  # containment
+        assert want[("ab_ws", "blank")][1:] == (1.0, 0.0)
+        assert want[("none", "many")] == (0.0, 0.5, 0.0)
+        assert _features(pairs, recs) == want
+
+    def test_casefold_divergence_is_beyond_ascii(self, tuned_spark):
+        # Spark's ``lower`` keeps "ß" where ``casefold`` gives "ss"
+        recs = tuned_spark.createDataFrame(
+            pd.DataFrame([("a", "city", ["Straße"], {}), ("b", "city", ["STRASSE"], {})],
+                         columns=["subject", "etype", "aliases", "attrs"]),
+            schema=MATCH_RECORD_SCHEMA,
+        )
+        pairs = tuned_spark.createDataFrame(pd.DataFrame({"a": ["a"], "b": ["b"]}))
+        assert _reference(pairs, recs)[("a", "b")][0] == 1.0
+        assert _features(pairs, recs)[("a", "b")][0] < 1.0
+
+    def test_generated_inputs_are_ascii(self, tuned_spark, uni):
+        # so ``lower`` and ``casefold`` agree on every input the pipeline sees
+        assert all(s.isascii() for s in uni.aliases.alias)
+        fleet = default_sources()
+        ingested = [IngestionPipeline(tuned_spark, cfg).run(source_snapshot(uni, cfg, 8))[0]
+                    for cfg in fleet]
+        triples = ingested[0]
+        for t in ingested[1:]:
+            triples = triples.unionByName(t)
+        assert triples.select("source").distinct().count() == len(fleet)
+        assert triples.filter(F.col("obj").rlike("[^\\x00-\\x7f]")).count() == 0

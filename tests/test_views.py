@@ -77,6 +77,20 @@ class TestViewManager:
         out = mgr.update(small_kg, "embedding_input", changed)
         assert out.count() > 0
 
+    def test_update_reads_the_maintained_dependency(self, tuned_spark, small_kg):
+        # the catalog is built before 20 entities arrive; the tick then
+        # maintains entity_features and refreshes nerd_entity_view over it
+        changed = small_kg.select("subject").distinct().orderBy("subject").limit(20)
+        before = small_kg.join(changed, "subject", "left_anti")
+        mgr = ViewManager(tuned_spark, standard_catalog())
+        mgr.materialize(before, ["entity_features", "nerd_entity_view"])
+        feats = mgr.update(small_kg, "entity_features", changed)
+        nerd = mgr.update(small_kg, "nerd_entity_view", changed)
+        assert mgr.materialized["entity_features"] is feats
+        want = {r.subject: r.importance for r in feats.collect()}
+        got = {r.subject: r.importance for r in nerd.collect()}
+        assert got == {s: want.get(s, 0.0) for s in got}
+
 
 class TestStandardViews:
     def test_ranked_entity_index_sorted_by_importance(self, tuned_spark, small_kg):
