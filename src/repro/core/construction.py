@@ -2,14 +2,16 @@
 
 ``ConstructionPipeline.consume_tick`` drives one construction round:
 every source's delta payload is processed through its own pipeline
-(Added → full linking; Updated/Deleted → link lookup only), fusion is the
+(Added → full linking; Updated → link lookup), fusion is the
 synchronization point (source payloads fuse one at a time), and volatile
 predicates fuse last via per-source partition overwrite — exactly the
 paper's parallelization structure.  Onboarding a brand-new source is a
 full *Added* payload (``compute_delta(None, ...)``).
 
-State (:class:`KnowledgeGraph`) is locally checkpointed after each tick so
-the incremental loop does not accumulate Spark lineage.
+A payload replaces the claims and links of its records, whatever their
+kind: the fused triples are derived from the record-scoped claims ledger
+(:mod:`repro.core.fusion`).  The state that a payload changes is locally
+checkpointed, so the incremental loop does not accumulate Spark lineage.
 """
 from __future__ import annotations
 
@@ -19,23 +21,31 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core import schema as S
 from repro.core.delta import Delta
-from repro.core.fusion import fuse, retract_source, truth_discovery
-from repro.core.linking import link_source
+from repro.core.fusion import fuse, retract_source, to_kg, truth_discovery
+from repro.core.linking import link_source, same_as_facts
 from repro.core.matching import match_records
 from repro.core.obr import build_resolver, resolve_objects
 from repro.sparktune import small_frame, tune
 
 LINK_SCHEMA = "subject string, kg_subject string"
+LEDGER_SCHEMA = (
+    "subject string, predicate string, r_id string, r_predicate string, "
+    "obj string, locale string, source string, record string, trust double"
+)
 
 
 @dataclass
 class KnowledgeGraph:
-    """Construction state: fused stable triples, the persistent link map
-    (source-namespace subject → KG id), and per-source volatile partitions."""
+    """Construction state: the claims ledger (one row per KG-namespace fact,
+    source, source record and trust, after OBR and relationship-node
+    alignment), the fused stable triples derived from it, the persistent
+    link map (source-namespace subject → KG id), and per-source volatile
+    partitions."""
 
     triples: DataFrame
     links: DataFrame
     volatile: dict[str, DataFrame]
+    ledger: DataFrame
 
     def all_triples(self) -> DataFrame:
         """Stable KG plus volatile partitions, in the fused schema."""
@@ -67,6 +77,7 @@ def empty_kg(spark: SparkSession) -> KnowledgeGraph:
         triples=small_frame(spark, S.KG_TRIPLE_SCHEMA),
         links=small_frame(spark, LINK_SCHEMA),
         volatile={},
+        ledger=small_frame(spark, LEDGER_SCHEMA),
     )
 
 
@@ -101,35 +112,26 @@ class ConstructionPipeline:
         kg_records: DataFrame,
         resolver=None,
     ) -> KnowledgeGraph:
-        """Process one source's Added/Updated/Deleted payloads and fuse.
+        """Replace one source's claims and links for the records of its
+        Added, Updated and Deleted payloads, and fuse.
 
-        Each expensive payload is materialized exactly once (eager local
-        checkpoint) before reuse: with per-action scheduling cost dominating
-        at reproduction scale, repeated lineage re-evaluation — not data
-        volume — is what would blow up construction time.
+        Added records are linked against the KG view; Updated records keep
+        the KG ids the link map gave them; Deleted records only lose their
+        claims and links.  Each delta partition is materialized once
+        (eager local checkpoint) before reuse: with per-action scheduling
+        cost dominating at reproduction scale, repeated lineage
+        re-evaluation — not data volume — is what would blow up
+        construction time.
         """
         cfg, delta = payload.cfg, payload.delta
-        src_name = cfg.name
-
         added = delta.added.localCheckpoint(eager=True)
         updated = delta.updated.localCheckpoint(eager=True)
         deleted = delta.deleted.localCheckpoint(eager=True)
-        n_added, n_updated, n_deleted = added.count(), updated.count(), deleted.count()
+        records = (
+            added.select("subject").unionByName(updated.select("subject")).unionByName(deleted)
+        )
 
-        # -- Added: full linking against the KG view (all pipeline stages)
-        add_links = None
-        if n_added:
-            res = link_source(
-                added,
-                kg_records,
-                source_name=src_name,
-                trust=cfg.trust,
-            )
-            add_links = res.link_map.localCheckpoint(eager=True)
-            add_same_as = res.same_as
-
-        # -- Updated/Deleted: entities were previously linked — lookup only
-        upd_links = (
+        rec_links = (
             updated.select("subject")
             .distinct()
             .join(kg.links, "subject", "left")
@@ -139,57 +141,52 @@ class ConstructionPipeline:
                 "kg_subject",
                 F.coalesce("kg_subject", F.concat(F.lit("kg:"), F.col("subject"))),
             )
-            .localCheckpoint(eager=True)
         )
-        del_targets = deleted.join(kg.links, "subject").select("kg_subject")
+        if not added.isEmpty():
+            res = link_source(added, kg_records, source_name=cfg.name, trust=cfg.trust)
+            rec_links = rec_links.unionByName(res.link_map)
+        # checkpointed: used three times below, and with this lineage left
+        # in, the claims plan (which joins ``updated`` with a frame derived
+        # from it) fails to bind an attribute (``key not found``)
+        rec_links = rec_links.localCheckpoint(eager=True)
 
-        # -- retire this source's assertions about deleted + updated entities
-        triples = kg.triples
-        if n_deleted or n_updated:
-            targets = del_targets.unionByName(upd_links.select("kg_subject"))
-            triples = retract_source(triples, src_name, targets)
-
-        # -- rewrite payload subjects into the KG namespace
-        def rewrite(payload_triples: DataFrame, links: DataFrame) -> DataFrame:
-            return (
-                payload_triples.join(links, "subject")
-                .drop("subject")
-                .withColumnRenamed("kg_subject", "subject")
-                .select(*S.FACT_KEY, "source", "trust")
+        # the records' claims in the KG namespace, each with its same_as fact
+        claims = (
+            added.unionByName(updated)
+            .join(rec_links, "subject")
+            .select(
+                F.col("kg_subject").alias("subject"),
+                *S.FACT_KEY[1:],
+                "source",
+                F.col("subject").alias("record"),
+                "trust",
             )
-
-        to_fuse = []
-        if add_links is not None:
-            to_fuse.append(rewrite(added, add_links))
-            to_fuse.append(add_same_as.select(*S.FACT_KEY, "source", "trust"))
-        if n_updated:
-            to_fuse.append(rewrite(updated, upd_links))
-        new_links = kg.links
-        if n_deleted:
-            new_links = new_links.join(deleted, "subject", "left_anti")
-        if add_links is not None:
-            new_links = new_links.unionByName(add_links).dropDuplicates(["subject"])
-
-        if to_fuse:
-            incoming = to_fuse[0]
-            for df in to_fuse[1:]:
-                incoming = incoming.unionByName(df)
-            # Object Resolution on the incoming payload (§2.3)
-            if self.obr_enabled:
-                incoming = resolve_objects(incoming, resolver)
-            triples = fuse(triples, incoming)
+            .unionByName(
+                same_as_facts(rec_links, source_name=cfg.name, trust=cfg.trust)
+                .withColumn("record", F.col("obj"))
+            )
+        )
+        # Object Resolution on the incoming payload (§2.3)
+        if self.obr_enabled:
+            claims = resolve_objects(claims, resolver)
+        ledger = fuse(retract_source(kg.ledger, cfg.name, records), claims)
+        ledger = ledger.localCheckpoint(eager=True)
+        links = kg.links.join(records, "subject", "left_anti").unionByName(rec_links)
+        links = links.localCheckpoint(eager=True)
 
         # -- volatile partition overwrite (§2.4): cheap fusion path
         volatile = dict(kg.volatile)
         if payload.volatile is not None:
-            volatile[src_name] = (
-                payload.volatile.join(new_links, "subject")
+            volatile[cfg.name] = (
+                payload.volatile.join(links, "subject")
                 .drop("subject")
                 .withColumnRenamed("kg_subject", "subject")
                 .select(*S.FACT_KEY, "source", "trust")
+                .localCheckpoint(eager=True)
             )
-
-        return KnowledgeGraph(triples=triples, links=new_links, volatile=volatile)
+        return KnowledgeGraph(
+            triples=to_kg(ledger), links=links, volatile=volatile, ledger=ledger
+        )
 
     # -- one construction round over all sources ----------------------------
     def consume_tick(
@@ -210,16 +207,5 @@ class ConstructionPipeline:
         for payload in payloads:
             kg_records = match_records(kg.triples).localCheckpoint(eager=True)
             kg = self.consume_source(kg, payload, kg_records, resolver)
-            kg = self._materialize(kg)
         refined = truth_discovery(kg.triples).localCheckpoint(eager=True)
         return replace(kg, triples=refined)
-
-    def _materialize(self, kg: KnowledgeGraph) -> KnowledgeGraph:
-        """Truncate lineage so tick-over-tick iteration stays bounded."""
-        return KnowledgeGraph(
-            triples=kg.triples.localCheckpoint(eager=True),
-            links=kg.links.localCheckpoint(eager=True),
-            volatile={
-                k: v.localCheckpoint(eager=True) for k, v in kg.volatile.items()
-            },
-        )

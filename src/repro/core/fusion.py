@@ -1,15 +1,15 @@
-"""Fusion (§2.3): merge a linked source payload into the KG.
+"""Fusion (§2.3): the fused KG derived from a record-scoped claims ledger.
 
-Simple facts fuse via a provenance-level outer join: the KG's
-``sources``/``trust`` arrays are exploded to long form, combined with the
-incoming payload (new assertions from the same source win), and
-re-aggregated — either updating the provenance of an existing fact or
-adding a new one.  Composite facts first go through *relationship-node
-alignment*: a source relationship node merges with the KG node sharing
-sufficient fact intersection, otherwise it is added as a new node.
-``truth_discovery`` then refines per-fact confidence for conflicting
-functional predicates by iterating source-reliability estimation (the
-Dong/Rekatsinas line of work the paper cites).
+The ledger holds one row per (fact, source, source record, trust), in the
+KG namespace.  A source payload replaces the ledger rows of its records
+(:func:`retract_source`, then :func:`fuse`), and :func:`to_kg` aggregates
+the ledger into fused triples whose ``sources``/``trust`` arrays carry one
+entry per asserting source.  Composite facts first go through
+*relationship-node alignment*: a source relationship node merges with the
+KG node sharing sufficient fact intersection, otherwise it is added as a
+new node.  ``truth_discovery`` then refines per-fact confidence for
+conflicting functional predicates by iterating source-reliability
+estimation (the Dong/Rekatsinas line of work the paper cites).
 """
 from __future__ import annotations
 
@@ -38,14 +38,19 @@ def to_long(kg_triples: DataFrame) -> DataFrame:
     )
 
 
-def to_kg(long: DataFrame) -> DataFrame:
-    """Aggregate long provenance back to the KG array representation.
+def to_kg(claims: DataFrame) -> DataFrame:
+    """Aggregate claims (long provenance or the ledger) to the KG array
+    representation, one (source, trust) entry per fact and source: a
+    source asserting a fact through several records counts once, at its
+    highest trust.
 
     Confidence is the independent-corroboration score
     ``1 − Π (1 − trust_i)`` (refined later by :func:`truth_discovery`).
     """
     return (
-        long.groupBy(*S.FACT_KEY)
+        claims.groupBy(*S.FACT_KEY, "source")
+        .agg(F.max("trust").alias("trust"))
+        .groupBy(*S.FACT_KEY)
         .agg(
             F.array_sort(
                 F.collect_list(F.struct("source", "trust"))
@@ -71,23 +76,24 @@ def to_kg(long: DataFrame) -> DataFrame:
 # composite relationship-node alignment
 # --------------------------------------------------------------------------
 
-def align_relationship_nodes(src: DataFrame, kg_triples: DataFrame) -> DataFrame:
+def align_relationship_nodes(src: DataFrame, kg: DataFrame) -> DataFrame:
     """Remap source ``r_id``s onto KG ``r_id``s when the nodes are similar.
 
     Two relationship nodes are the same node when ≥ ``REL_MERGE_THRESHOLD``
     of the source node's (r_predicate, obj) facts already exist in the KG
     node (same subject + predicate).  Unmatched nodes keep their source
-    ``r_id`` and become new relationship nodes (§2.3 Fusion).
+    ``r_id`` and become new relationship nodes (§2.3 Fusion).  ``kg`` is
+    the fused KG or the ledger; a fact counts once however many claims
+    assert it.
     """
     src_comp = src.filter(F.col("r_id").isNotNull())
     if src_comp.isEmpty():
         return src
-    kg_comp = kg_triples.filter(F.col("r_id").isNotNull()).select(
-        "subject",
-        "predicate",
-        F.col("r_id").alias("kg_r_id"),
-        "r_predicate",
-        "obj",
+    kg_comp = (
+        kg.filter(F.col("r_id").isNotNull())
+        .select(*S.FACT_KEY)
+        .distinct()
+        .select("subject", "predicate", F.col("r_id").alias("kg_r_id"), "r_predicate", "obj")
     )
     overlap = (
         src_comp.join(kg_comp, ["subject", "predicate", "r_predicate", "obj"])
@@ -114,44 +120,27 @@ def align_relationship_nodes(src: DataFrame, kg_triples: DataFrame) -> DataFrame
 
 
 # --------------------------------------------------------------------------
-# fuse / retract
+# the claims ledger
 # --------------------------------------------------------------------------
 
-def fuse(kg_triples: DataFrame, src: DataFrame) -> DataFrame:
-    """Fuse one linked source payload (single-source extended triples whose
-    subjects are KG ids) into the KG — non-destructive: existing facts keep
-    their other sources; re-assertions by the same source win over its own
-    stale trust value."""
-    src = align_relationship_nodes(src, kg_triples)
-    incoming = src.select(*S.FACT_KEY, "source", "trust").withColumn(
-        "is_new", F.lit(1)
+def retract_source(ledger: DataFrame, source: str, records: DataFrame) -> DataFrame:
+    """Drop the claims ``source`` made through ``records`` (a ``subject``
+    column of source-namespace record ids).  A fact no other claim asserts
+    leaves the fused KG (on-demand deletion / license compliance, §1
+    req. 2); other records of the source keep their claims, also on the
+    same KG entity."""
+    gone = records.select(
+        F.lit(source).alias("source"), F.col("subject").alias("record")
     )
-    existing = to_long(kg_triples).withColumn("is_new", F.lit(0))
-    merged = (
-        incoming.unionByName(existing)
-        .groupBy(*S.FACT_KEY, "source")
-        .agg(F.max(F.struct("is_new", "trust")).alias("w"))
-        .select(*S.FACT_KEY, "source", F.col("w.trust").alias("trust"))
-    )
-    return to_kg(merged)
+    return ledger.join(gone, ["source", "record"], "left_anti")
 
 
-def retract_source(
-    kg_triples: DataFrame, source: str, kg_subjects: DataFrame
-) -> DataFrame:
-    """Remove one source's provenance from the facts of given KG entities.
-
-    Facts whose provenance becomes empty are dropped (on-demand deletion /
-    license compliance, §1 req. 2).  ``kg_subjects`` is a single-column
-    (``kg_subject``) frame.
-    """
-    long = to_long(kg_triples)
-    targets = kg_subjects.select(F.col("kg_subject").alias("subject")).distinct()
-    hit = long.join(targets, "subject", "left_semi").filter(
-        F.col("source") != source
-    )
-    miss = long.join(targets, "subject", "left_anti")
-    return to_kg(hit.unionByName(miss))
+def fuse(ledger: DataFrame, claims: DataFrame) -> DataFrame:
+    """Add one linked source payload's claims (ledger rows whose subjects
+    are KG ids) to the ledger, non-destructively: other sources' claims on
+    the same facts stay, and :func:`to_kg` derives the fused triples."""
+    aligned = align_relationship_nodes(claims, ledger)
+    return ledger.unionByName(aligned.select(*ledger.columns))
 
 
 # --------------------------------------------------------------------------

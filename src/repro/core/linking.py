@@ -107,8 +107,16 @@ def link_source(
         .withColumn("kg_subject", F.concat(F.lit("kg:"), F.col("subject")))
     )
     link_map = linked.unionByName(singletons)
+    return LinkResult(
+        link_map=link_map,
+        same_as=same_as_facts(link_map, source_name=source_name, trust=trust),
+    )
 
-    same_as = link_map.select(
+
+def same_as_facts(link_map: DataFrame, *, source_name: str, trust: float) -> DataFrame:
+    """One ``same_as`` fact per (subject, kg_subject) link: the KG entity
+    records the source record it was linked with (§2.3 step 5)."""
+    return link_map.select(
         F.col("kg_subject").alias("subject"),
         F.lit(S.SAME_AS_PRED).alias("predicate"),
         F.lit(None).cast("string").alias("r_id"),
@@ -118,4 +126,3 @@ def link_source(
         F.lit(source_name).alias("source"),
         F.lit(float(trust)).alias("trust"),
     )
-    return LinkResult(link_map=link_map, same_as=same_as)

@@ -5,8 +5,8 @@ operations; *orchestration agents* replay operations in order into their
 store and record replay progress in a metadata store, so a consumer can
 reason about each store's freshness ("serving at least KG version X").
 The log is a JSONL file (fsync'd per append), the metadata store a JSON
-file — the durability/ordering semantics of the paper's distributed shared
-log at single-node scale (DESIGN.md §3).
+file replaced atomically per write — the durability/ordering semantics of
+the paper's distributed shared log at single-node scale (DESIGN.md §3).
 
 Agents encapsulate all store-specific logic; the framework is generic, so
 onboarding a new engine means implementing :class:`OrchestrationAgent.apply`
@@ -71,9 +71,17 @@ class MetadataStore:
         return int(self._load().get(store, 0))
 
     def set_lsn(self, store: str, lsn: int) -> None:
+        """Record progress atomically: the new file is fsync'd beside the
+        old one and renamed over it, so a crash mid-write leaves the
+        previous progress readable."""
         d = self._load()
         d[store] = lsn
-        self.path.write_text(json.dumps(d, indent=2))
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "w") as f:
+            f.write(json.dumps(d, indent=2))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, self.path)
 
 
 class OrchestrationAgent(ABC):

@@ -27,18 +27,12 @@ _METADATA_PREDS = [S.SAME_AS_PRED, *S.VOLATILE_PREDS]
 
 @dataclass(frozen=True)
 class ViewDefinition:
-    """One registered view.
-
-    ``create`` receives the base KG and the materialized dependency views;
-    ``update`` (optional) maintains the view incrementally given the ids
-    of changed entities — when absent the manager falls back to full
-    recomputation (both lifecycles exist in the paper).
-    """
+    """One registered view: ``create`` receives the base KG and the
+    materialized dependency views."""
 
     name: str
     create: Callable[[DataFrame, dict[str, DataFrame]], DataFrame]
     deps: tuple[str, ...] = ()
-    update: Callable[[DataFrame, DataFrame, dict[str, DataFrame], DataFrame], DataFrame] | None = None
 
 
 class ViewCatalog:
@@ -83,7 +77,7 @@ class ViewCatalog:
 
 
 class ViewManager:
-    """Materializes and incrementally maintains registered views."""
+    """Materializes registered views and refreshes them per tick."""
 
     def __init__(self, spark: SparkSession, catalog: ViewCatalog):
         self.spark = spark
@@ -122,22 +116,18 @@ class ViewManager:
     def update(
         self, base: DataFrame, name: str, changed_ids: DataFrame
     ) -> DataFrame:
-        """Incrementally maintain one materialized view.
+        """Refresh one materialized view over the new ``base``.
 
         Dependencies are read from their maintained copies; only one that
         was never materialized is computed (with its own dependencies).
-        Falls back to full recomputation when the definition registers no
-        incremental procedure (views may specify different freshness SLAs).
+        The view itself is recomputed in full: an incremental procedure
+        over ``changed_ids`` (the tick's changed entity ids) must equal a
+        full materialize, and none has yet been measured to be cheaper.
         """
         vdef = self.catalog.get(name)
         self.materialize(base, [d for d in vdef.deps if d not in self.materialized])
         deps = {d: self.materialized[d] for d in vdef.deps}
-        prev = self.materialized.get(name)
-        if vdef.update is None or prev is None:
-            new = vdef.create(base, deps)
-        else:
-            new = vdef.update(prev, base, deps, changed_ids)
-        new = new.localCheckpoint(eager=True)
+        new = vdef.create(base, deps).localCheckpoint(eager=True)
         self.materialized[name] = new
         return new
 
@@ -157,20 +147,6 @@ def _entity_names(base: DataFrame) -> DataFrame:
 def _v_entity_features(base: DataFrame, deps: dict) -> DataFrame:
     """Per-entity structural features (degrees, identities, PageRank)."""
     return importance_view(base)
-
-
-def _u_entity_features(prev, base, deps, changed_ids) -> DataFrame:
-    """Incremental maintenance: recompute rows of changed entities only.
-
-    Degree/identity features are per-entity aggregations, so recomputation
-    restricted to changed subjects composed with the untouched remainder is
-    exact; PageRank is refreshed for changed rows from the new full pass
-    only when the graph topology around them moved — for reproduction-scale
-    graphs we recompute changed rows against the current base.
-    """
-    fresh = importance_view(base).join(changed_ids, "subject", "left_semi")
-    kept = prev.join(changed_ids, "subject", "left_anti")
-    return kept.unionByName(fresh)
 
 
 def _v_ranked_entity_index(base: DataFrame, deps: dict) -> DataFrame:
@@ -320,8 +296,7 @@ def schematized_entity_view(
 def standard_catalog() -> ViewCatalog:
     """The production view DAG of Fig 7 plus §5 consumer views."""
     cat = ViewCatalog()
-    cat.register(ViewDefinition("entity_features", _v_entity_features,
-                                update=_u_entity_features))
+    cat.register(ViewDefinition("entity_features", _v_entity_features))
     cat.register(
         ViewDefinition(
             "ranked_entity_index", _v_ranked_entity_index, deps=("entity_features",)

@@ -4,6 +4,7 @@ Drives the full pipeline over a multi-tick provider timeline and checks
 state transitions (adds, updates, deletes, volatile overwrite) plus
 ground-truth linking quality of the resulting KG.
 """
+import pandas as pd
 import pytest
 from pyspark.sql import SparkSession, functions as F
 
@@ -70,18 +71,29 @@ class TestStateEvolution:
         gone = set(snaps[0]["alpha"].entities.id) - set(snaps[-1]["alpha"].entities.id)
         if not gone:
             pytest.skip("no deletions in this window")
-        long = states[-1].triples.select(
-            "subject", F.explode("sources").alias("source")
-        )
+        kg = states[-1]
+        long = kg.triples.select(
+            "subject", "predicate", "obj", F.explode("sources").alias("source")
+        ).filter(F.col("source") == "alpha")
         links0 = {r.subject: r.kg_subject for r in states[0].links.collect()}
+        current = set(snaps[-1]["alpha"].entities.id)
+        kept = {r.kg_subject for r in kg.links.collect() if r.subject in current}
         for g in sorted(gone)[:5]:
             kg_id = links0.get(g)
             if kg_id is None:
                 continue
-            still = long.filter(
+            alpha = {(r.predicate, r.obj) for r in long.filter(F.col("subject") == kg_id).collect()}
+            if kg_id not in kept:
+                assert not alpha, f"{g} ({kg_id}) still carries alpha provenance"
+                continue
+            # a current alpha record shares the KG id and keeps its claims;
+            # what only the deleted record asserted is gone
+            rows = kg.ledger.filter(
                 (F.col("subject") == kg_id) & (F.col("source") == "alpha")
-            ).count()
-            assert still == 0, f"{g} ({kg_id}) still carries alpha provenance"
+            ).collect()
+            assert g not in {r.record for r in rows}
+            assert (S.SAME_AS_PRED, g) not in alpha
+            assert alpha <= {(r.predicate, r.obj) for r in rows}
 
     def test_updates_reflected_in_kg(self, history):
         states, snaps, _ = history
@@ -93,7 +105,7 @@ class TestStateEvolution:
         for i in common:
             for col in s0.columns:
                 v0, v3 = s0.loc[i, col], s3.loc[i, col]
-                if pd_notna(v0) and pd_notna(v3) and "~r" in str(v3) and v0 != v3:
+                if pd.notna(v0) and pd.notna(v3) and "~r" in str(v3) and v0 != v3:
                     changed = (i, col, str(v3))
                     break
             if changed:
@@ -136,6 +148,60 @@ class TestStateEvolution:
             & F.col("r_id").isNull()
         ).count()
         assert resolved > 0
+
+
+class TestSiblingRecords:
+    """Two records of one source linked to one KG id: updating one of them,
+    or deleting it, leaves the other record's assertions in the fused KG."""
+
+    CFG = SourceConfig("solo", ("person",), trust=0.9)
+    FACTS = [
+        ("solo:1", "type", "person"), ("solo:1", "name", "Ada Lovelace"),
+        ("solo:1", "birthdate", "1815-12-10"), ("solo:1", "occupation", "mathematician"),
+        ("solo:2", "type", "person"), ("solo:2", "name", "Ada Lovelace"),
+        ("solo:2", "birthdate", "1815-12-10"), ("solo:2", "alias", "Augusta Ada King"),
+    ]
+
+    def _snapshot(self, spark, facts):
+        rows = [(s, p, None, None, o, S.DEFAULT_LOCALE, self.CFG.name, self.CFG.trust)
+                for s, p, o in facts]
+        pdf = pd.DataFrame(rows, columns=S.SOURCE_TRIPLE_SCHEMA.fieldNames())
+        return spark.createDataFrame(pdf, schema=S.SOURCE_TRIPLE_SCHEMA).localCheckpoint(eager=True)
+
+    @pytest.fixture(scope="class")
+    def onboarded(self, tuned_spark):
+        pipe = ConstructionPipeline(tuned_spark)
+        snap = self._snapshot(tuned_spark, self.FACTS)
+        kg = pipe.consume_tick(
+            empty_kg(tuned_spark), [SourcePayload(self.CFG, compute_delta(None, snap))]
+        )
+        links = {r.subject: r.kg_subject for r in kg.links.collect()}
+        assert links["solo:1"] == links["solo:2"], links  # the case needs one KG id
+        return pipe, snap, kg, links["solo:1"]
+
+    def _tick(self, spark, onboarded, facts):
+        pipe, snap, kg, kg_id = onboarded
+        delta = compute_delta(snap, self._snapshot(spark, facts))
+        new = pipe.consume_tick(kg, [SourcePayload(self.CFG, delta)])
+        return {(r.predicate, r.obj) for r in new.triples.filter(
+            (F.col("subject") == kg_id) & F.array_contains("sources", self.CFG.name)
+        ).collect()}
+
+    def test_updating_a_sibling_keeps_the_other_records_facts(self, tuned_spark, onboarded):
+        facts = [f if f != ("solo:2", "birthdate", "1815-12-10") else ("solo:2", "birthdate", "1815-12-11")
+                 for f in self.FACTS]
+        have = self._tick(tuned_spark, onboarded, facts)
+        assert {("occupation", "mathematician"), ("birthdate", "1815-12-10"),
+                (S.SAME_AS_PRED, "solo:1")} <= have
+        # the updated record keeps its new facts and its same_as fact
+        assert {("birthdate", "1815-12-11"), (S.SAME_AS_PRED, "solo:2")} <= have
+
+    def test_deleting_a_sibling_keeps_the_other_records_facts(self, tuned_spark, onboarded):
+        have = self._tick(tuned_spark, onboarded, [f for f in self.FACTS if f[0] == "solo:1"])
+        assert {("occupation", "mathematician"), ("birthdate", "1815-12-10"),
+                (S.SAME_AS_PRED, "solo:1")} <= have
+        # what only the deleted record asserted is gone
+        assert not {("alias", "Augusta Ada King"), (S.SAME_AS_PRED, "solo:2")} & have
 
 
 class TestLinkingQuality:
@@ -233,9 +299,3 @@ class TestNoPythonWorkers:
         assert len(plans) > 20
         bad = [p for p in plans if any(op in p for op in self.PYTHON_OPERATORS)]
         assert not bad, bad[0]
-
-
-def pd_notna(v) -> bool:
-    import pandas as pd
-
-    return pd.notna(v)

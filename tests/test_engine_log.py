@@ -1,5 +1,7 @@
 """Unit tests for the Graph Engine's op log, metadata store, and
 orchestration-agent framework (§3.1)."""
+import os
+
 import pytest
 
 from repro.engine.log import (
@@ -57,6 +59,29 @@ class TestMetadataStore:
         p = tmp_path / "m.json"
         MetadataStore(p).set_lsn("a", 3)
         assert MetadataStore(p).get_lsn("a") == 3
+
+    def test_failed_write_keeps_previous_progress(self, tmp_path, monkeypatch):
+        # the agent applied op 2, then crashed while recording it
+        eng = GraphEngine(tmp_path)
+        eng.register(Recorder())
+        eng.publish({"kind": "a"})
+        eng.run_agents()
+        eng.publish({"kind": "b"})
+
+        def crash(*args, **kwargs):
+            raise OSError("crash while recording progress")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", crash)
+            with pytest.raises(OSError):
+                eng.run_agents()
+        # restart: LSN 1 reads back, op 2 is replayed once, then never again
+        eng2 = GraphEngine(tmp_path)
+        assert eng2.freshness("recorder") == 1
+        a2 = Recorder()
+        eng2.register(a2)
+        assert eng2.run_agents() == eng2.run_agents() == {"recorder": 2}
+        assert [o["kind"] for o in a2.applied] == ["b"]
 
 
 class TestAgentReplay:

@@ -61,14 +61,31 @@ class TestViewManager:
         assert va.collect() == vb.collect()
 
     def test_incremental_update_matches_full_recompute(self, tuned_spark, small_kg):
-        mgr = ViewManager(tuned_spark, standard_catalog())
-        mgr.materialize(small_kg, ["entity_features"])
-        changed = small_kg.select("subject").distinct().limit(20)
-        updated = mgr.update(small_kg, "entity_features", changed)
-        full = standard_catalog().get("entity_features").create(small_kg, {})
-        got = {r.subject: r.n_identities for r in updated.collect()}
-        want = {r.subject: r.n_identities for r in full.collect()}
-        assert got == want
+        def fact(s, p, o):
+            return (s, p, None, None, o, "en", ["s1"], [0.9], 0.9)
+
+        people = [fact(f"kg:{i}", "type", "person") for i in range(3)]
+        before = tuned_spark.createDataFrame(
+            people + [fact("kg:2", "spouse", "kg:0")], S.KG_TRIPLE_SCHEMA)
+        cases = [
+            (small_kg, small_kg, small_kg.select("subject").distinct().limit(20)),
+            # kg:0 gains an edge to kg:1, which did not change: kg:1's
+            # in_degree and every entity's normalized importance move too
+            (before, before.unionByName(tuned_spark.createDataFrame(
+                [fact("kg:0", "spouse", "kg:1")], S.KG_TRIPLE_SCHEMA)),
+             tuned_spark.createDataFrame([("kg:0",)], "subject string")),
+        ]
+
+        def rows(df, cols):
+            return sorted(tuple(round(v, 12) if isinstance(v, float) else v for v in r)
+                          for r in df.select(*cols).collect())
+
+        for base, after, changed in cases:
+            mgr = ViewManager(tuned_spark, standard_catalog())
+            mgr.materialize(base, ["entity_features"])
+            updated = mgr.update(after, "entity_features", changed)
+            full = standard_catalog().get("entity_features").create(after, {})
+            assert rows(updated, full.columns) == rows(full, full.columns)
 
     def test_full_recompute_fallback_for_views_without_update(self, tuned_spark, small_kg):
         mgr = ViewManager(tuned_spark, standard_catalog())
