@@ -1,10 +1,9 @@
 """Resolution (§2.3 Linking step 5): signed linkage graph → entity clusters.
 
 High-confidence match probabilities become +1 edges, high-confidence
-non-matches −1 edges.  The signed edges are collected into Python;
-union-find over the +edges splits them into connected components, and a
-greedy pivot correlation clustering runs per component, honoring −edges
-and the invariant that a cluster contains **at most one KG entity**.
+non-matches −1 edges.  The signed edges are collected into Python and a
+greedy pivot correlation clustering runs over them, honoring −edges and
+the invariant that a cluster contains **at most one KG entity**.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ def signed_edges(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
 
 
 def _pivot_cluster(nodes: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
-    """Greedy pivot correlation clustering of one connected component.
+    """Greedy pivot correlation clustering of ``nodes`` over signed ``edges``.
 
     Ordering is deterministic: KG entities pivot first (so source entities
     attach to the existing graph entity when possible), then lexicographic.
@@ -77,46 +76,13 @@ def cluster_entities(scored: DataFrame, *, hi: float, lo: float) -> DataFrame:
     subjects as singleton clusters of themselves.
 
     The signed edges — orders of magnitude fewer than the blocked pair
-    set — are collected and resolved in Python: union-find over the
-    +edges, then greedy pivot per component honoring −edges and the
-    ≤1-KG-entity invariant.  Matching, the quadratic stage, stays
-    distributed.
+    set — are collected and resolved in Python by one greedy pivot pass
+    over every node with a +edge.  A pivot only attaches its
+    +neighbours, so the pass clusters each +connected component on its
+    own.  Matching, the quadratic stage, stays distributed.
     """
     edges = signed_edges(scored, hi=hi, lo=lo).localCheckpoint(eager=True)
     pdf = edges.toPandas()
-    spark = edges.sparkSession
-
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    pos_rows = pdf[pdf.sign > 0]
-    for a, b in zip(pos_rows.a, pos_rows.b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    comp_nodes: dict[str, list[str]] = {}
-    for n in parent:
-        comp_nodes.setdefault(find(n), []).append(n)
-    comp_edges: dict[str, list[tuple[str, str, int]]] = {}
-    for a, b, sign in zip(pdf.a, pdf.b, pdf.sign):
-        if a in parent and b in parent and find(a) == find(b):
-            comp_edges.setdefault(find(a), []).append((a, b, int(sign)))
-
-    outs = []
-    for root, nodes in comp_nodes.items():
-        nd = pd.DataFrame({"subject": nodes})
-        ed = pd.DataFrame(comp_edges.get(root, []), columns=["a", "b", "sign"])
-        outs.append(_pivot_cluster(nd, ed))
-    if not outs:  # only −edges: every node is its own singleton → absent
-        return small_frame(spark, CLUSTER_SCHEMA)
-    return small_frame(spark, CLUSTER_SCHEMA, pd.concat(outs, ignore_index=True))
+    pos = pdf[pdf.sign > 0]
+    nodes = pd.DataFrame({"subject": pd.unique(pd.concat([pos.a, pos.b]))})
+    return small_frame(edges.sparkSession, CLUSTER_SCHEMA, _pivot_cluster(nodes, pdf))

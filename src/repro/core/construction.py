@@ -93,15 +93,8 @@ class SourcePayload:
 class ConstructionPipeline:
     """Continuously-running delta-based construction (§2.4)."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        *,
-        learned=None,
-        obr_enabled: bool = True,
-    ):
+    def __init__(self, spark: SparkSession, *, obr_enabled: bool = True):
         self.spark = tune(spark, shuffle_partitions=None)
-        self.learned = learned
         self.obr_enabled = obr_enabled
 
     # -- per-source pipeline ------------------------------------------------
@@ -143,8 +136,7 @@ class ConstructionPipeline:
             )
         )
         if not added.isEmpty():
-            res = link_source(added, kg_records, source_name=cfg.name, trust=cfg.trust)
-            rec_links = rec_links.unionByName(res.link_map)
+            rec_links = rec_links.unionByName(link_source(added, kg_records))
         # checkpointed: used three times below, and with this lineage left
         # in, the claims plan (which joins ``updated`` with a frame derived
         # from it) fails to bind an attribute (``key not found``)
@@ -197,15 +189,17 @@ class ConstructionPipeline:
         The per-type KG view for linking is refreshed after each fusion so
         that two sources onboarding the same new entity in one tick still
         deduplicate (the paper fuses "source payloads one at a time").  The
-        OBR resolver is built once per tick from the tick-start KG — new
-        entities land in the resolver at the next tick, mirroring the
-        freshness semantics of an engine-maintained NERD view (§5.2).
-        Truth discovery closes the tick; only the triples it refines are
-        checkpointed again.
+        OBR resolver is built once per tick from the first payload's view,
+        the tick-start KG's match records — new entities land in the
+        resolver at the next tick, mirroring the freshness semantics of an
+        engine-maintained NERD view (§5.2).  Truth discovery closes the
+        tick; only the triples it refines are checkpointed again.
         """
-        resolver = build_resolver(kg.triples, learned=self.learned) if self.obr_enabled else None
-        for payload in payloads:
+        resolver = None
+        for i, payload in enumerate(payloads):
             kg_records = match_records(kg.triples).localCheckpoint(eager=True)
+            if i == 0 and self.obr_enabled:
+                resolver = build_resolver(kg_records)
             kg = self.consume_source(kg, payload, kg_records, resolver)
         refined = truth_discovery(kg.triples).localCheckpoint(eager=True)
         return replace(kg, triples=refined)

@@ -14,8 +14,6 @@ job rather than sequential driver loops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core import schema as S
@@ -32,18 +30,6 @@ from repro.core.matching import (
 HI, LO = 0.9, 0.3
 
 
-@dataclass
-class LinkResult:
-    """Outcome of linking one source payload against the KG.
-
-    ``link_map``: (subject, kg_subject) for *every* source entity in the
-    payload.  ``same_as``: extended triples recording the linkage.
-    """
-
-    link_map: DataFrame
-    same_as: DataFrame
-
-
 def score_by_type(features: DataFrame) -> DataFrame:
     """Apply the per-entity-type matching model as one piecewise column."""
     z = DEFAULT_MODEL.z(F.col)
@@ -55,14 +41,9 @@ def score_by_type(features: DataFrame) -> DataFrame:
     return features.withColumn("prob", F.lit(1.0) / (F.lit(1.0) + F.exp(-z)))
 
 
-def link_source(
-    source_triples: DataFrame,
-    kg_records: DataFrame,
-    *,
-    source_name: str,
-    trust: float,
-) -> LinkResult:
-    """Link one source payload against the current KG.
+def link_source(source_triples: DataFrame, kg_records: DataFrame) -> DataFrame:
+    """Link one source payload against the current KG: the link map
+    (subject, kg_subject) for *every* source entity in the payload.
 
     ``kg_records`` is ``match_records(kg_triples)`` — computed once per
     construction tick by the caller and shared across the parallel source
@@ -106,11 +87,7 @@ def link_source(
         .join(clusters.select("subject"), "subject", "left_anti")
         .withColumn("kg_subject", F.concat(F.lit("kg:"), F.col("subject")))
     )
-    link_map = linked.unionByName(singletons)
-    return LinkResult(
-        link_map=link_map,
-        same_as=same_as_facts(link_map, source_name=source_name, trust=trust),
-    )
+    return linked.unionByName(singletons)
 
 
 def same_as_facts(link_map: DataFrame, *, source_name: str, trust: float) -> DataFrame:

@@ -14,16 +14,24 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 from repro.core import schema as S
-from repro.ml.nerd import NERDIndex, NERD_CONFIG, view_from_kg
+from repro.ml.nerd import EntityRecord, NERDIndex, NERD_CONFIG
 from repro.sparktune import small_frame
 
 
-def build_resolver(kg_triples: DataFrame, *, learned=None) -> NERDIndex | None:
-    """NERD index over the current KG's entity view (None when KG empty)."""
-    pdf = kg_triples.select("subject", "predicate", "r_id", "obj").toPandas()
-    if pdf.empty:
+def build_resolver(kg_records: DataFrame) -> NERDIndex | None:
+    """NERD index over the KG's match records (None when the KG is empty).
+
+    ``kg_records`` is ``match_records(kg_triples)``: one row per entity
+    with its surface forms and type, all that OBR's disambiguation reads
+    (it passes no mention context, so neighbours and descriptions would
+    go unused).
+    """
+    rows = kg_records.select("subject", "aliases", "etype").collect()
+    if not rows:
         return None
-    return NERDIndex(view_from_kg(pdf), learned=learned)
+    return NERDIndex(
+        [EntityRecord(r.subject, r.aliases, [r.etype] if r.etype else []) for r in rows]
+    )
 
 
 def resolve_objects(

@@ -95,21 +95,13 @@ class ViewManager:
         recomputes its entire ancestor chain privately (E2 baseline).
         """
         out: dict[str, DataFrame] = {}
-        if reuse:
-            cache: dict[str, DataFrame] = {}
-            for name in self.catalog.topo_order(targets):
+        for group in [targets] if reuse else [[t] for t in targets]:
+            done: dict[str, DataFrame] = {}
+            for name in self.catalog.topo_order(group):
                 vdef = self.catalog.get(name)
-                inputs = {d: cache[d] for d in vdef.deps}
-                cache[name] = vdef.create(base, inputs).localCheckpoint(eager=True)
-            out = {t: cache[t] for t in targets}
-        else:
-            for t in targets:
-                priv: dict[str, DataFrame] = {}
-                for name in self.catalog.topo_order([t]):
-                    vdef = self.catalog.get(name)
-                    inputs = {d: priv[d] for d in vdef.deps}
-                    priv[name] = vdef.create(base, inputs).localCheckpoint(eager=True)
-                out[t] = priv[t]
+                inputs = {d: done[d] for d in vdef.deps}
+                done[name] = vdef.create(base, inputs).localCheckpoint(eager=True)
+            out.update((t, done[t]) for t in group)
         self.materialized.update(out)
         return out
 

@@ -34,7 +34,6 @@ def kg_from_universe(
         conf = 1.0 - float(np.prod([1 - t for t in tt]))
         rows.append((subj, pred, r_id, r_pred, str(obj), S.DEFAULT_LOCALE, ss, tt, conf))
 
-    names = dict(zip(uni.entities.eid, uni.entities.name))
     for eid, etype, name in zip(uni.entities.eid, uni.entities.type, uni.entities.name):
         subj = f"kg:{int(eid)}"
         add(subj, S.TYPE_PRED, etype)
@@ -57,7 +56,6 @@ def kg_from_universe(
         r_id = f"{subj}#{pred}#{int(r_idx)}"
         val = f"kg:{int(obj_eid)}" if pd.notna(obj_eid) else obj
         add(subj, pred, val, r_id=r_id, r_pred=r_pred)
-    _ = names
     pdf = pd.DataFrame(
         rows,
         columns=[

@@ -80,9 +80,8 @@ NERD_CONFIG = ScorerConfig()
 class NERDIndex:
     """Candidate retrieval + disambiguation over a NERD Entity View."""
 
-    def __init__(self, records: list[EntityRecord], *, learned=None):
+    def __init__(self, records: list[EntityRecord]):
         self.records = {r.entity_id: r for r in records}
-        self.learned = learned
         self._tok_index: dict[str, set[str]] = {}
         self._gram_index: dict[str, set[str]] = {}
         for r in records:
@@ -120,10 +119,7 @@ class NERDIndex:
     def _name_sim(self, mention: str, rec: EntityRecord) -> float:
         best = 0.0
         for nm in rec.names[:8]:
-            s = max(levenshtein_sim(mention, nm), jaccard_qgram(mention, nm))
-            if self.learned is not None:
-                s = max(s, self.learned.similarity(mention, nm))
-            best = max(best, s)
+            best = max(best, levenshtein_sim(mention, nm), jaccard_qgram(mention, nm))
         return best
 
     # -- contextual disambiguation (Fig 11 analogue) ----------------------
@@ -168,7 +164,7 @@ class NERDIndex:
 
 
 # --------------------------------------------------------------------------
-# NERD Entity View constructors
+# NERD Entity View constructor
 # --------------------------------------------------------------------------
 
 def view_from_universe(uni) -> list[EntityRecord]:
@@ -192,41 +188,3 @@ def view_from_universe(uni) -> list[EntityRecord]:
         )
     return recs
 
-
-def view_from_kg(kg_pdf, importance: dict[str, float] | None = None) -> list[EntityRecord]:
-    """NERD Entity View from a *constructed* KG (pandas extended triples).
-
-    Computed in production by the Graph Engine as a registered view
-    (§5.2); here the caller hands the engine view's pandas materialization
-    (entity payloads are small relative to the corpus).
-    """
-    importance = importance or {}
-    by_subj = kg_pdf.groupby("subject")
-    name_map: dict[str, str] = {}
-    type_map: dict[str, list[str]] = {}
-    for subj, grp in by_subj:
-        names = grp.loc[grp.predicate.isin(["name", "alias"]), "obj"].tolist()
-        if names:
-            name_map[subj] = names[0]
-        type_map[subj] = sorted(set(grp.loc[grp.predicate == "type", "obj"]))
-    recs = []
-    for subj, grp in by_subj:
-        names = sorted(set(grp.loc[grp.predicate.isin(["name", "alias"]), "obj"]))
-        if not names:
-            continue
-        refs = grp.loc[grp.obj.isin(name_map.keys()) & (grp.obj != subj), "obj"]
-        nbr_names = [name_map[o] for o in refs]
-        nbr_types = [t for o in refs for t in type_map.get(o, [])]
-        desc_vals = grp.loc[grp.r_id.notna(), "obj"].astype(str).tolist()
-        recs.append(
-            EntityRecord(
-                entity_id=subj,
-                names=names,
-                types=type_map.get(subj, []),
-                description=" ".join(desc_vals[:4]),
-                neighbor_names=nbr_names,
-                neighbor_types=nbr_types,
-                importance=float(importance.get(subj, 0.0)),
-            )
-        )
-    return recs

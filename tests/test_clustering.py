@@ -72,6 +72,7 @@ class TestClusterEntities:
             ("kg:1", "s:a", 0.95), ("kg:1", "s:b", 0.9),  # both match KG entity
             ("s:c", "s:d", 0.9), ("s:c", "s:e", 0.02),     # new cluster + neg
             ("s:f", "s:g", 0.5),                            # uncertain: no edge
+            ("s:a", "s:d", 0.02),                           # neg across components
         ]
         return tuned_spark.createDataFrame(
             pd.DataFrame(rows, columns=["a", "b", "prob"])

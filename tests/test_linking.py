@@ -5,7 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.core import schema as S
 from repro.core.ingestion import IngestionPipeline
-from repro.core.linking import link_source
+from repro.core.linking import link_source, same_as_facts
 from repro.core.matching import match_records
 from repro.kgdata.sources import SourceConfig, source_snapshot
 
@@ -18,21 +18,19 @@ def linked(tuned_spark, uni, small_kg):
     triples, _ = IngestionPipeline(tuned_spark, CFG).run(snap)
     triples = triples.localCheckpoint(eager=True)
     kg_records = match_records(small_kg).localCheckpoint(eager=True)
-    res = link_source(
-        triples, kg_records, source_name=CFG.name, trust=CFG.trust
-    )
-    return snap, triples, res.link_map.localCheckpoint(eager=True), res.same_as
+    link_map = link_source(triples, kg_records).localCheckpoint(eager=True)
+    return snap, triples, link_map
 
 
 class TestCoverage:
     def test_every_source_entity_linked(self, linked):
-        snap, triples, link_map, _ = linked
+        snap, triples, link_map = linked
         n_src = triples.select("subject").distinct().count()
         assert link_map.count() == n_src
         assert link_map.select("subject").distinct().count() == n_src
 
     def test_all_targets_in_kg_namespace(self, linked):
-        _, _, link_map, _ = linked
+        _, _, link_map = linked
         bad = link_map.filter(~F.col("kg_subject").startswith("kg:")).count()
         assert bad == 0
 
@@ -43,7 +41,7 @@ class TestAccuracy:
 
     @pytest.fixture(scope="class")
     def eval_frame(self, linked):
-        snap, _, link_map, _ = linked
+        snap, _, link_map = linked
         truth = dict(zip(snap.truth.id, snap.truth.eid))
         pdf = link_map.toPandas()
         pdf["expected"] = pdf.subject.map(lambda s: f"kg:{truth[s]}")
@@ -73,15 +71,19 @@ class TestAccuracy:
 
 
 class TestSameAs:
-    def test_same_as_records_every_link(self, linked):
-        _, _, link_map, same_as = linked
+    @pytest.fixture(scope="class")
+    def same_as(self, linked):
+        _, _, link_map = linked
+        return same_as_facts(link_map, source_name=CFG.name, trust=CFG.trust)
+
+    def test_same_as_records_every_link(self, linked, same_as):
+        _, _, link_map = linked
         assert same_as.count() == link_map.count()
         row = same_as.first()
         assert row.predicate == S.SAME_AS_PRED
         assert row.source == CFG.name and row.trust == CFG.trust
 
-    def test_same_as_subject_is_kg_object_is_source(self, linked):
-        _, _, _, same_as = linked
+    def test_same_as_subject_is_kg_object_is_source(self, same_as):
         bad = same_as.filter(
             ~F.col("subject").startswith("kg:") | F.col("obj").startswith("kg:")
         ).count()

@@ -4,12 +4,13 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import schema as S
+from repro.core.matching import match_records
 from repro.core.obr import build_resolver, resolve_objects
 
 
 @pytest.fixture(scope="module")
 def resolver(small_kg):
-    return build_resolver(small_kg)
+    return build_resolver(match_records(small_kg))
 
 
 def _payload(spark, rows):
@@ -24,10 +25,28 @@ def _payload(spark, rows):
 class TestResolver:
     def test_empty_kg_yields_no_resolver(self, tuned_spark):
         empty = tuned_spark.createDataFrame([], S.KG_TRIPLE_SCHEMA)
-        assert build_resolver(empty) is None
+        assert build_resolver(match_records(empty)) is None
 
     def test_resolver_indexes_all_entities(self, resolver, uni):
         assert len(resolver.records) == len(uni.entities)
+
+    def test_records_carry_the_kg_names_and_types(self, resolver, small_kg):
+        """Each entity's names are its sorted ``name``/``alias`` objects and
+        its types the set of its ``type`` objects."""
+        kg = small_kg.select("subject", "predicate", "obj").toPandas()
+        names = {
+            subj: sorted(set(objs))
+            for subj, objs in kg[kg.predicate.isin([S.NAME_PRED, S.ALIAS_PRED])]
+            .groupby("subject")["obj"]
+        }
+        types = {
+            subj: set(objs)
+            for subj, objs in kg[kg.predicate == S.TYPE_PRED].groupby("subject")["obj"]
+        }
+        assert set(resolver.records) == set(names)
+        for subj, rec in resolver.records.items():
+            assert rec.names == names[subj]
+            assert set(rec.types) == types.get(subj, set())
 
 
 class TestResolveObjects:
