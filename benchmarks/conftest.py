@@ -1,10 +1,7 @@
 """Benchmark fixtures: result-table sink + capture-bypassing printer."""
-import os
 import pathlib
 
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
-import pytest  # noqa: E402
+import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -22,10 +19,3 @@ def report(capsys, request):
             print(f"\n{text}")
 
     return _report
-
-
-@pytest.fixture(scope="session")
-def tuned_spark(spark):
-    from repro.sparktune import tune
-
-    return tune(spark)

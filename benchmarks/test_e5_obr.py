@@ -2,9 +2,9 @@
 from repro.experiments import e5_obr as exp
 
 
-def test_e5_object_resolution(benchmark, tuned_spark, report):
+def test_e5_object_resolution(benchmark, report):
     result = benchmark.pedantic(
-        lambda: exp.run(tuned_spark, n_entities=800, n_tasks=1200),
+        lambda: exp.run(n_entities=800, n_tasks=1200),
         rounds=1, iterations=1,
     )
     report(exp.format_rows(result))

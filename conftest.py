@@ -2,14 +2,22 @@ import os
 import sys
 
 
-def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+CGROUP_LIMITS = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+
+def _driver_mem() -> str:
+    """Heap for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > ~75% of the
+    cgroup v2/v1 limit > half of ``MemTotal``, clamped to 2–8g (the
+    formula of the ROADMAP's tier-1 verify command) > 2g.
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere —
+    this runs at conftest import, which pytest loads before any test
+    module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -18,10 +26,7 @@ def _driver_mem() -> str:
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
+    for p in CGROUP_LIMITS:
         try:
             raw = open(p).read().strip()
             if not raw or raw == "max":
@@ -33,8 +38,13 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback:/proc/meminfo"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, ValueError, StopIteration):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
@@ -66,7 +76,9 @@ def spark() -> SparkSession:
         SparkSession.builder.appName("repro")
         .config(
             "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+            # reproduction-scale data wants few shuffle partitions
+            # (per-task overhead dominates at this size)
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -83,3 +95,11 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def tuned_spark(spark):
+    """The session SparkSession with reproduction-scale settings applied."""
+    from repro.sparktune import tune
+
+    return tune(spark)

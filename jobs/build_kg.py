@@ -16,11 +16,12 @@ from pyspark.sql import SparkSession
 from repro.engine.log import GraphEngine
 from repro.engine.store import AnalyticsStore, AnalyticsStoreAgent
 from repro.experiments import e3_growth
+from repro.sparktune import tune
 
 
 def main() -> None:
     workdir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="saga_kg_")
-    spark = (
+    spark = tune(
         SparkSession.builder.appName("build_kg")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -8,10 +8,11 @@ predicates fuse last via per-source partition overwrite — exactly the
 paper's parallelization structure.  Onboarding a brand-new source is a
 full *Added* payload (``compute_delta(None, ...)``).
 
-A payload replaces the claims and links of its records, whatever their
-kind: the fused triples are derived from the record-scoped claims ledger
-(:mod:`repro.core.fusion`).  The state that a payload changes is locally
-checkpointed, so the incremental loop does not accumulate Spark lineage.
+A payload replaces the claims of its records, whatever their kind: the
+fused triples and the link map are derived from the record-scoped claims
+ledger (:mod:`repro.core.fusion`).  The state that a payload changes is
+locally checkpointed, so the incremental loop does not accumulate Spark
+lineage.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from repro.core.matching import match_records
 from repro.core.obr import build_resolver, resolve_objects
 from repro.sparktune import small_frame, tune
 
-LINK_SCHEMA = "subject string, kg_subject string"
 LEDGER_SCHEMA = (
     "subject string, predicate string, r_id string, r_predicate string, "
     "obj string, locale string, source string, record string, trust double"
@@ -38,14 +38,20 @@ LEDGER_SCHEMA = (
 class KnowledgeGraph:
     """Construction state: the claims ledger (one row per KG-namespace fact,
     source, source record and trust, after OBR and relationship-node
-    alignment), the fused stable triples derived from it, the persistent
-    link map (source-namespace subject → KG id), and per-source volatile
-    partitions."""
+    alignment), the fused stable triples derived from it, and per-source
+    volatile partitions."""
 
     triples: DataFrame
-    links: DataFrame
     volatile: dict[str, DataFrame]
     ledger: DataFrame
+
+    @property
+    def links(self) -> DataFrame:
+        """The link map (source-namespace subject → KG id): each record's
+        ``same_as`` claim."""
+        return self.ledger.filter(F.col("predicate") == S.SAME_AS_PRED).select(
+            F.col("record").alias("subject"), F.col("subject").alias("kg_subject")
+        )
 
     def all_triples(self) -> DataFrame:
         """Stable KG plus volatile partitions, in the fused schema."""
@@ -75,7 +81,6 @@ class KnowledgeGraph:
 def empty_kg(spark: SparkSession) -> KnowledgeGraph:
     return KnowledgeGraph(
         triples=small_frame(spark, S.KG_TRIPLE_SCHEMA),
-        links=small_frame(spark, LINK_SCHEMA),
         volatile={},
         ledger=small_frame(spark, LEDGER_SCHEMA),
     )
@@ -105,16 +110,15 @@ class ConstructionPipeline:
         kg_records: DataFrame,
         resolver=None,
     ) -> KnowledgeGraph:
-        """Replace one source's claims and links for the records of its
-        Added, Updated and Deleted payloads, and fuse.
+        """Replace one source's claims (``same_as`` links included) for the
+        records of its Added, Updated and Deleted payloads, and fuse.
 
         Added records are linked against the KG view; Updated records keep
         the KG ids the link map gave them; Deleted records only lose their
-        claims and links.  Each delta partition is materialized once
-        (eager local checkpoint) before reuse: with per-action scheduling
-        cost dominating at reproduction scale, repeated lineage
-        re-evaluation — not data volume — is what would blow up
-        construction time.
+        claims.  Each delta partition is materialized once (eager local
+        checkpoint) before reuse: with per-action scheduling cost
+        dominating at reproduction scale, repeated lineage re-evaluation —
+        not data volume — is what would blow up construction time.
         """
         cfg, delta = payload.cfg, payload.delta
         added = delta.added.localCheckpoint(eager=True)
@@ -163,22 +167,18 @@ class ConstructionPipeline:
             claims = resolve_objects(claims, resolver)
         ledger = fuse(retract_source(kg.ledger, cfg.name, records), claims)
         ledger = ledger.localCheckpoint(eager=True)
-        links = kg.links.join(records, "subject", "left_anti").unionByName(rec_links)
-        links = links.localCheckpoint(eager=True)
 
         # -- volatile partition overwrite (§2.4): cheap fusion path
-        volatile = dict(kg.volatile)
+        out = KnowledgeGraph(triples=to_kg(ledger), volatile=dict(kg.volatile), ledger=ledger)
         if payload.volatile is not None:
-            volatile[cfg.name] = (
-                payload.volatile.join(links, "subject")
+            out.volatile[cfg.name] = (
+                payload.volatile.join(out.links, "subject")
                 .drop("subject")
                 .withColumnRenamed("kg_subject", "subject")
                 .select(*S.FACT_KEY, "source", "trust")
                 .localCheckpoint(eager=True)
             )
-        return KnowledgeGraph(
-            triples=to_kg(ledger), links=links, volatile=volatile, ledger=ledger
-        )
+        return out
 
     # -- one construction round over all sources ----------------------------
     def consume_tick(

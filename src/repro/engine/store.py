@@ -1,12 +1,12 @@
 """Analytics store (§3.1.1): the read-optimized relational warehouse that
 holds the KG's extended triples.
 
-Implemented over the local filesystem as versioned parquet snapshots plus
-per-source volatile partitions (the §2.4 partition-overwrite fusion path).
-``AnalyticsStoreAgent`` is the orchestration agent that replays ingest
-operations from the shared log into the store; updates are batched (one
-version per ingest op), matching the paper's "updates to the engine are
-batched for performance".
+Implemented over the local filesystem as versioned parquet snapshots; a
+staged KG (``KnowledgeGraph.all_triples``) already carries the per-source
+volatile partitions.  ``AnalyticsStoreAgent`` is the orchestration agent
+that replays ingest operations from the shared log into the store; updates
+are batched (one version per ingest op), matching the paper's "updates to
+the engine are batched for performance".
 """
 from __future__ import annotations
 
@@ -29,31 +29,21 @@ class AnalyticsStore:
     def write_version(self, triples: DataFrame, version: int) -> None:
         triples.write.mode("overwrite").parquet(str(self.root / f"v{version:06d}"))
 
-    def overwrite_volatile_partition(
-        self, source: str, triples: DataFrame, version: int
-    ) -> None:
-        """Replace one source's volatile partition wholesale (§2.4)."""
-        path = self.root / f"v{version:06d}_volatile_{source}"
-        triples.write.mode("overwrite").parquet(str(path))
-
     # -- reads ------------------------------------------------------------
     def versions(self) -> list[int]:
         return sorted(
             int(p.name[1:7])
             for p in self.root.iterdir()
-            if p.is_dir() and p.name.startswith("v") and "_volatile_" not in p.name
+            if p.is_dir() and p.name.startswith("v")
         )
 
     def read_version(self, version: int | None = None) -> DataFrame:
-        """Latest (or given) KG version, volatile partitions included."""
+        """Latest (or given) KG version."""
         vs = self.versions()
         if not vs:
             raise FileNotFoundError(f"no KG versions in {self.root}")
         v = version if version is not None else vs[-1]
-        df = self.spark.read.parquet(str(self.root / f"v{v:06d}"))
-        for p in sorted(self.root.glob(f"v{v:06d}_volatile_*")):
-            df = df.unionByName(self.spark.read.parquet(str(p)))
-        return df
+        return self.spark.read.parquet(str(self.root / f"v{v:06d}"))
 
 
 class AnalyticsStoreAgent(OrchestrationAgent):
@@ -69,7 +59,3 @@ class AnalyticsStoreAgent(OrchestrationAgent):
             return
         df = self.store.spark.read.parquet(op["payload_path"])
         self.store.write_version(df, op["lsn"])
-        for source, path in op.get("volatile_paths", {}).items():
-            self.store.overwrite_volatile_partition(
-                source, self.store.spark.read.parquet(path), op["lsn"]
-            )

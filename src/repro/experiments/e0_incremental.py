@@ -20,7 +20,6 @@ from repro.core.ingestion import IngestionPipeline
 from repro.experiments.common import table
 from repro.kgdata.sources import default_sources, source_snapshot
 from repro.kgdata.universe import make_universe
-from repro.sparktune import tune
 
 PAPER = {"note": "design claim (§2.4); no absolute number reported"}
 
@@ -33,7 +32,6 @@ def run(
     seed: int = 7,
     obr: bool = False,
 ) -> dict:
-    tune(spark)
     n_ticks = 8
     uni = make_universe(n_entities=n_entities, seed=seed, n_ticks=n_ticks)
     sources = default_sources(saga_tick=99)[:n_sources]  # all onboard at tick 0

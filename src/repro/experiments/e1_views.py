@@ -23,7 +23,6 @@ from repro.engine.legacy_views import legacy_schematized_entity_view, plain_trip
 from repro.engine.views import schematized_entity_view
 from repro.experiments.common import kg_from_universe, table
 from repro.kgdata.universe import make_universe
-from repro.sparktune import tune
 
 PAPER = {
     "avg_speedup": 5.0,
@@ -56,7 +55,6 @@ def _time(fn, *, reps: int = 3) -> float:
 
 
 def run(spark: SparkSession, *, n_entities: int = 4000, seed: int = 7, reps: int = 3) -> dict:
-    tune(spark)
     uni = make_universe(n_entities=n_entities, seed=seed)
     extended = kg_from_universe(spark, uni).localCheckpoint(eager=True)
     plain = plain_triples(extended).localCheckpoint(eager=True)

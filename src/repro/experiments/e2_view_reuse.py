@@ -18,7 +18,6 @@ from pyspark.sql import SparkSession
 from repro.engine.views import ViewManager, standard_catalog
 from repro.experiments.common import kg_from_universe
 from repro.kgdata.universe import make_universe
-from repro.sparktune import tune
 
 PAPER = {"runtime_improvement_pct": 26.0}
 
@@ -26,7 +25,6 @@ TARGETS = ["ranked_entity_index", "entity_neighborhood", "nerd_entity_view"]
 
 
 def run(spark: SparkSession, *, n_entities: int = 2500, seed: int = 7, reps: int = 2) -> dict:
-    tune(spark)
     uni = make_universe(n_entities=n_entities, seed=seed)
     base = kg_from_universe(spark, uni).localCheckpoint(eager=True)
     base.count()

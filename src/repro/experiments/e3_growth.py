@@ -25,7 +25,6 @@ from repro.core.ingestion import IngestionPipeline
 from repro.experiments.common import table
 from repro.kgdata.sources import default_sources, source_snapshot
 from repro.kgdata.universe import make_universe
-from repro.sparktune import tune
 
 PAPER = {
     "facts_growth": 33.0,
@@ -44,7 +43,6 @@ def run(
     seed: int = 7,
     obr: bool = True,
 ) -> dict:
-    tune(spark)
     uni = make_universe(n_entities=n_entities, seed=seed, n_ticks=n_ticks)
     sources = default_sources(saga_tick=saga_tick)[:n_sources]
     pipe = ConstructionPipeline(spark, obr_enabled=obr)

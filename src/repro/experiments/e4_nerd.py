@@ -9,16 +9,9 @@ relational KG context — strong on head entities, weak on tails.  The
 corpus over-samples tail members of ambiguous name families and includes a
 NIL slice, so the head/tail contrast the paper measures is present.
 
-Batch annotation runs through Spark (``annotate_batch``), mirroring the
-elastic batch deployment of Fig 10; the sweep itself evaluates the shared
-prediction set at every threshold.
+The sweep evaluates one prediction set per system at every threshold.
 """
 from __future__ import annotations
-
-from typing import Iterator
-
-import pandas as pd
-from pyspark.sql import SparkSession, types as T
 
 from repro.experiments.common import table
 from repro.kgdata.corpus import Mention, annotation_corpus
@@ -30,7 +23,6 @@ from repro.ml.nerd import (
     ScorerConfig,
     view_from_universe,
 )
-from repro.sparktune import tune
 
 PAPER = {
     "recall_improvement_at_0.9": 70.0,
@@ -40,53 +32,26 @@ PAPER = {
 
 THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
-_PRED_SCHEMA = T.StructType(
-    [
-        T.StructField("mention_id", T.LongType()),
-        T.StructField("entity_id", T.StringType()),
-        T.StructField("confidence", T.DoubleType()),
-    ]
-)
 
-
-def annotate_batch(
-    spark: SparkSession,
+def annotate(
     mentions: list[Mention],
     index: NERDIndex,
     config: ScorerConfig,
     *,
     use_hint: bool = False,
 ) -> list[tuple[int, str | None, float]]:
-    """Batch NERD deployment (Fig 10): Spark partitions the corpus and each
-    task disambiguates against a broadcast NERD index."""
-    pdf = pd.DataFrame(
-        {
-            "mention_id": [m.mention_id for m in mentions],
-            "text": [m.text for m in mentions],
-            "context": [m.context for m in mentions],
-            "type_hint": [m.type_hint if use_hint else None for m in mentions],
-        }
-    )
-    bidx = spark.sparkContext.broadcast(index)
-
-    def work(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx = bidx.value
-        for b in batches:
-            rows = []
-            for r in b.itertuples(index=False):
-                p = idx.disambiguate(
-                    r.text, r.context, type_hint=r.type_hint, config=config
-                )
-                rows.append((int(r.mention_id), p.entity_id, float(p.confidence)))
-            yield pd.DataFrame(rows, columns=["mention_id", "entity_id", "confidence"])
-
-    out = (
-        spark.createDataFrame(pdf)
-        .repartition(8)
-        .mapInPandas(work, schema=_PRED_SCHEMA)
-        .collect()
-    )
-    return [(r.mention_id, r.entity_id, r.confidence) for r in out]
+    """Disambiguate every mention against ``index``: one
+    ``(mention_id, entity_id, confidence)`` prediction per mention."""
+    return [
+        (m.mention_id, p.entity_id, p.confidence)
+        for m in mentions
+        for p in [
+            index.disambiguate(
+                m.text, m.context,
+                type_hint=m.type_hint if use_hint else None, config=config,
+            )
+        ]
+    ]
 
 
 def precision_recall(
@@ -111,32 +76,12 @@ def precision_recall(
     return out
 
 
-def run(
-    spark: SparkSession | None,
-    *,
-    n_entities: int = 800,
-    n_mentions: int = 1500,
-    seed: int = 7,
-) -> dict:
+def run(*, n_entities: int = 800, n_mentions: int = 1500, seed: int = 7) -> dict:
     uni = make_universe(n_entities=n_entities, seed=seed)
     index = NERDIndex(view_from_universe(uni))
     corpus = annotation_corpus(uni, n=n_mentions, seed=11)
-
-    if spark is not None:
-        tune(spark)
-        nerd_preds = annotate_batch(spark, corpus, index, NERD_CONFIG)
-        base_preds = annotate_batch(spark, corpus, index, BASELINE_CONFIG)
-    else:  # pure-driver path (unit tests)
-        nerd_preds = [
-            (m.mention_id, p.entity_id, p.confidence)
-            for m in corpus
-            for p in [index.disambiguate(m.text, m.context, config=NERD_CONFIG)]
-        ]
-        base_preds = [
-            (m.mention_id, p.entity_id, p.confidence)
-            for m in corpus
-            for p in [index.disambiguate(m.text, m.context, config=BASELINE_CONFIG)]
-        ]
+    nerd_preds = annotate(corpus, index, NERD_CONFIG)
+    base_preds = annotate(corpus, index, BASELINE_CONFIG)
 
     nerd = precision_recall(corpus, nerd_preds)
     base = precision_recall(corpus, base_preds)

@@ -12,14 +12,11 @@ its name with a movie/team) are exactly where hints pay off.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from repro.experiments.common import table
-from repro.experiments.e4_nerd import annotate_batch, precision_recall
+from repro.experiments.e4_nerd import annotate, precision_recall
 from repro.kgdata.corpus import obr_corpus
 from repro.kgdata.universe import make_universe
 from repro.ml.nerd import BASELINE_CONFIG, NERD_CONFIG, NERDIndex, view_from_universe
-from repro.sparktune import tune
 
 PAPER = {
     "precision_improvement_pct": 10.0,
@@ -31,36 +28,19 @@ PAPER = {
 THRESHOLD = 0.9
 
 
-def run(
-    spark: SparkSession | None,
-    *,
-    n_entities: int = 800,
-    n_tasks: int = 1200,
-    seed: int = 7,
-) -> dict:
+def run(*, n_entities: int = 800, n_tasks: int = 1200, seed: int = 7) -> dict:
     uni = make_universe(n_entities=n_entities, seed=seed)
     index = NERDIndex(view_from_universe(uni))
     corpus = obr_corpus(uni, n=n_tasks, seed=13)
 
-    def predict(config, use_hint):
-        if spark is not None:
-            tune(spark)
-            return annotate_batch(spark, corpus, index, config, use_hint=use_hint)
-        return [
-            (m.mention_id, p.entity_id, p.confidence)
-            for m in corpus
-            for p in [
-                index.disambiguate(
-                    m.text, m.context,
-                    type_hint=m.type_hint if use_hint else None, config=config,
-                )
-            ]
-        ]
+    def score(config, use_hint):
+        preds = annotate(corpus, index, config, use_hint=use_hint)
+        return precision_recall(corpus, preds, thresholds=(THRESHOLD,))
 
     systems = {
-        "baseline": precision_recall(corpus, predict(BASELINE_CONFIG, False), thresholds=(THRESHOLD,)),
-        "nerd": precision_recall(corpus, predict(NERD_CONFIG, False), thresholds=(THRESHOLD,)),
-        "nerd_typed": precision_recall(corpus, predict(NERD_CONFIG, True), thresholds=(THRESHOLD,)),
+        "baseline": score(BASELINE_CONFIG, False),
+        "nerd": score(NERD_CONFIG, False),
+        "nerd_typed": score(NERD_CONFIG, True),
     }
     base = systems["baseline"][THRESHOLD]
     typed = systems["nerd_typed"][THRESHOLD]

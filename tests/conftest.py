@@ -1,19 +1,11 @@
 """Shared test fixtures.
 
-Imported by pytest before the session ``spark`` fixture is instantiated,
-so the shuffle-partition override below reaches the root conftest.  Heavy
-deterministic artifacts (universe, ground-truth KG) are session-scoped.
+Heavy deterministic artifacts (universe, ground-truth KG) are
+session-scoped; the Spark sessions come from the root conftest.
 """
-import os
+import pytest
 
-# loaded at collection time, before the root conftest's fixture body runs:
-# reproduction-scale data wants few shuffle partitions (per-task overhead
-# dominates in this sandbox)
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
-import pytest  # noqa: E402
-
-from repro.kgdata.universe import make_universe  # noqa: E402
+from repro.kgdata.universe import make_universe
 
 
 @pytest.fixture(scope="session")
@@ -26,14 +18,6 @@ def uni():
 def uni_mid():
     """Mid-size world for accuracy-shape tests."""
     return make_universe(n_entities=600, seed=7)
-
-
-@pytest.fixture(scope="session")
-def tuned_spark(spark):
-    """The session SparkSession with reproduction-scale settings applied."""
-    from repro.sparktune import tune
-
-    return tune(spark)
 
 
 @pytest.fixture(scope="session")

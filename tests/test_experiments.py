@@ -21,8 +21,7 @@ from repro.experiments import (
 class TestE4NerdAnnotation:
     @pytest.fixture(scope="class")
     def result(self):
-        # driver-only path; the Spark batch path is covered in benchmarks
-        return e4_nerd.run(None, n_entities=400, n_mentions=600)
+        return e4_nerd.run(n_entities=400, n_mentions=600)
 
     def test_nerd_beats_baseline_recall_at_high_confidence(self, result):
         row = next(s for s in result["sweep"] if s["threshold"] == 0.9)
@@ -49,7 +48,7 @@ class TestE4NerdAnnotation:
 class TestE5ObjectResolution:
     @pytest.fixture(scope="class")
     def result(self):
-        return e5_obr.run(None, n_entities=400, n_tasks=500)
+        return e5_obr.run(n_entities=400, n_tasks=500)
 
     def test_type_hints_improve_precision(self, result):
         assert result["precision_improvement_pct"] >= 0.0  # paper: ~+10%

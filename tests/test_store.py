@@ -1,6 +1,5 @@
 """Spark tests for the analytics store + its orchestration agent (§3.1.1)."""
 import pytest
-from pyspark.sql import functions as F
 
 from repro.engine.log import GraphEngine
 from repro.engine.store import AnalyticsStore, AnalyticsStoreAgent
@@ -30,12 +29,6 @@ class TestVersioning:
     def test_missing_store_raises(self, store):
         with pytest.raises(FileNotFoundError):
             store.read_version()
-
-    def test_volatile_partition_unioned(self, store, small_kg):
-        store.write_version(small_kg.limit(10), 3)
-        vol = small_kg.limit(40).withColumn("predicate", F.lit("popularity"))
-        store.overwrite_volatile_partition("wiki", vol, 3)
-        assert store.read_version(3).count() == 50
 
 
 class TestAgent:
