@@ -87,8 +87,6 @@ def align_relationship_nodes(src: DataFrame, kg: DataFrame) -> DataFrame:
     assert it.
     """
     src_comp = src.filter(F.col("r_id").isNotNull())
-    if src_comp.isEmpty():
-        return src
     kg_comp = (
         kg.filter(F.col("r_id").isNotNull())
         .select(*S.FACT_KEY)
@@ -185,9 +183,7 @@ def truth_discovery(kg_triples: DataFrame, *, iters: int = 2) -> DataFrame:
     score from :func:`_reliability` takes it as its confidence.
     Non-functional facts keep their corroboration confidence.
     """
-    claims, scored, _ = _reliability(kg_triples, iters)
-    if claims.isEmpty():
-        return kg_triples
+    _, scored, _ = _reliability(kg_triples, iters)
     final = scored.select("subject", "predicate", "obj", "claim_score")
     return (
         kg_triples.join(final, ["subject", "predicate", "obj"], "left")

@@ -26,9 +26,23 @@ class OperationLog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._truncate_torn_tail()
         self._next_lsn = 1 + max(
             (op["lsn"] for op in self.read_from(0)), default=0
         )
+
+    def _truncate_torn_tail(self) -> None:
+        """Cut a last line that has no newline: a crash mid-append left it,
+        and its op was never acknowledged.  Kept, it would not parse, and
+        the next append would be glued onto it."""
+        if not self.path.exists():
+            return
+        with open(self.path, "rb+") as f:
+            data = f.read()
+            if data and not data.endswith(b"\n"):
+                f.truncate(data.rfind(b"\n") + 1)
+                f.flush()
+                os.fsync(f.fileno())
 
     def append(self, op: dict) -> int:
         """Durably append ``op``; returns its LSN."""

@@ -11,6 +11,8 @@ what we reproduce.
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.experiments.common import table
@@ -60,10 +62,9 @@ def run(
     n_queries: int = 2000,
     n_stream_events: int = 500,
     seed: int = 7,
-    use_cache: bool = True,
 ) -> dict:
     graph, uni = build_live(n_entities, seed)
-    engine = LiveQueryEngine(graph, cache_size=1024 if use_cache else 0)
+    engine = LiveQueryEngine(graph)
     engine.register_operator(
         "wherePlays", lambda name: f'FIND "{name}" TYPE team FOLLOW home_city RETURN name'
     )
@@ -87,8 +88,9 @@ def run(
                     refs={"home_team": str(t["name"])},
                 )
             )
-        _, ms = engine.timed_execute(q)
-        lat.append(ms)
+        t0 = time.perf_counter()
+        engine.execute(q)
+        lat.append((time.perf_counter() - t0) * 1e3)
     arr = np.array(lat)
     return {
         "paper": PAPER,

@@ -4,16 +4,15 @@ The live KG is the union of a *view of the stable graph* with real-time
 streaming sources (sports scores, stock prices, flights).  Live entities
 are uniquely identifiable across sources (no linking/fusion needed), but
 their *references* to stable entities (teams, venues, cities) are text
-mentions — resolved against the stable graph with the NERD-based Entity
-Resolution service (§5.2).  Curations arrive as just another streaming
-source and *hot fix* the indexes directly.
+mentions, resolved at ingest through the inverted index.  Curations
+arrive as just another streaming source and *hot fix* the documents
+directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.live.index import InvertedIndex, KVStore
-from repro.ml.nerd import NERDIndex, NERD_CONFIG
+from repro.live.index import InvertedIndex
 
 
 @dataclass
@@ -38,14 +37,28 @@ class LiveEvent:
 
 
 class LiveGraph:
-    """Stable-graph view ∪ streaming sources, served from low-latency
-    indexes (inverted index + KV store)."""
+    """Stable-graph view ∪ streaming sources, served from an inverted index
+    and a KV store of entity documents (entity id → document)."""
 
-    def __init__(self, *, resolver: NERDIndex | None = None, n_shards: int = 4):
-        self.kv = KVStore(n_shards)
-        self.index = InvertedIndex(n_shards)
-        self.resolver = resolver
-        self.curation_log: list[LiveEvent] = []
+    def __init__(self):
+        self.kv: dict[str, dict] = {}
+        self.index = InvertedIndex()
+
+    def _put(self, eid: str, names, types, facts: dict, neighbors: dict) -> dict:
+        """Store a new entity document and index its names."""
+        doc = {
+            "id": eid,
+            "names": list(names),
+            "types": list(types),
+            "facts": {k: list(v) for k, v in facts.items()},
+            "neighbors": {k: list(v) for k, v in neighbors.items()},
+            "live": {},
+            "blocked": set(),
+        }
+        self.kv[eid] = doc
+        for nm in doc["names"]:
+            self.index.add(nm, eid)
+        return doc
 
     # -- stable side -------------------------------------------------------
     def load_stable(self, records: list[dict]) -> None:
@@ -53,18 +66,8 @@ class LiveGraph:
         ``names``, ``types``, ``facts`` (pred → list of values) and
         ``neighbors`` (pred → list of entity ids)."""
         for r in records:
-            doc = {
-                "id": r["id"],
-                "names": list(r.get("names", [])),
-                "types": list(r.get("types", [])),
-                "facts": {k: list(v) for k, v in r.get("facts", {}).items()},
-                "neighbors": {k: list(v) for k, v in r.get("neighbors", {}).items()},
-                "live": {},
-                "blocked": set(),
-            }
-            self.kv.put(r["id"], doc)
-            for nm in doc["names"]:
-                self.index.add(nm, r["id"])
+            self._put(r["id"], r.get("names", []), r.get("types", []),
+                      r.get("facts", {}), r.get("neighbors", {}))
 
     # -- streaming side ------------------------------------------------------
     def apply(self, ev: LiveEvent) -> None:
@@ -76,18 +79,8 @@ class LiveGraph:
             raise ValueError(f"unknown event kind {ev.kind!r}")
         doc = self.kv.get(ev.entity_id)
         if doc is None:
-            doc = {
-                "id": ev.entity_id,
-                "names": [ev.name] if ev.name else [],
-                "types": [ev.etype] if ev.etype else [],
-                "facts": {},
-                "neighbors": {},
-                "live": {},
-                "blocked": set(),
-            }
-            self.kv.put(ev.entity_id, doc)
-            for nm in doc["names"]:
-                self.index.add(nm, ev.entity_id)
+            doc = self._put(ev.entity_id, [ev.name] if ev.name else [],
+                            [ev.etype] if ev.etype else [], {}, {})
         if ev.predicate:
             doc["live"][ev.predicate] = ev.value
         # resolve text references to stable entities (§4.1)
@@ -98,20 +91,16 @@ class LiveGraph:
                 if target not in doc["neighbors"][pred]:
                     doc["neighbors"][pred].append(target)
 
-    def resolve_reference(self, mention: str, *, type_hint: str | None = None) -> str | None:
-        """Entity Resolution service: mention text → stable entity id."""
-        if self.resolver is None:
-            ids = sorted(self.index.lookup(mention))
-            return ids[0] if ids else None
-        pred = self.resolver.disambiguate(mention, type_hint=type_hint, config=NERD_CONFIG)
-        return pred.entity_id if pred.confidence >= 0.5 else None
+    def resolve_reference(self, mention: str) -> str | None:
+        """Mention text → stable entity id: the first id whose names hold
+        every token of the mention."""
+        ids = sorted(self.index.lookup(mention))
+        return ids[0] if ids else None
 
     def _apply_curation(self, ev: LiveEvent) -> None:
-        """Hot fix the live indexes; the event is also recorded so stable
-        construction can consume curations as a source next tick (§4.3)."""
+        """Hot fix the served document in place."""
         if ev.action not in ("block", "edit"):
             raise ValueError(f"unknown curation action {ev.action!r}")
-        self.curation_log.append(ev)
         doc = self.kv.get(ev.entity_id)
         if doc is None:
             return

@@ -1,9 +1,9 @@
-"""Serving substrates of the Live KG (§4.1): a sharded inverted index and
-a sharded key-value store, both optimized for low-latency point reads.
+"""Serving substrate of the Live KG (§4.1): an inverted index over entity
+surface forms, optimized for low-latency point reads.
 
-These model Saga's scale-out online stores at single-process scale
-(DESIGN.md §3): sharding is real (hash routing over ``n_shards`` dicts,
-giving tight control over per-shard load), replication/geo-distribution is
+Saga's scale-out online stores are modelled in one process (DESIGN.md §3):
+one posting dict here, and a plain ``dict`` of entity documents as the KV
+store (``LiveGraph.kv``); sharding, replication and geo-distribution are
 out of scope.  All mutations are in-place and immediately visible — the
 property the curation *hot fix* path (§4.3) relies on.
 """
@@ -12,50 +12,15 @@ from __future__ import annotations
 from repro.ml.simfns import normalize
 
 
-class KVStore:
-    """Sharded key → document store (entity id → fact dict)."""
-
-    def __init__(self, n_shards: int = 4):
-        self.n_shards = n_shards
-        self._shards: list[dict[str, dict]] = [{} for _ in range(n_shards)]
-
-    def _shard(self, key: str) -> dict[str, dict]:
-        return self._shards[hash(key) % self.n_shards]
-
-    def put(self, key: str, doc: dict) -> None:
-        self._shard(key)[key] = doc
-
-    def get(self, key: str) -> dict | None:
-        return self._shard(key).get(key)
-
-    def delete(self, key: str) -> None:
-        self._shard(key).pop(key, None)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        """Per-shard load (capacity-planning observability)."""
-        return [len(s) for s in self._shards]
-
-
 class InvertedIndex:
-    """Sharded token → posting-list index over entity surface forms."""
+    """Token → posting-list index over entity surface forms."""
 
-    def __init__(self, n_shards: int = 4):
-        self.n_shards = n_shards
-        self._shards: list[dict[str, set[str]]] = [{} for _ in range(n_shards)]
-
-    def _shard(self, token: str) -> dict[str, set[str]]:
-        return self._shards[hash(token) % self.n_shards]
+    def __init__(self):
+        self._postings: dict[str, set[str]] = {}
 
     def add(self, text: str, entity_id: str) -> None:
         for tok in normalize(text).split():
-            self._shard(tok).setdefault(tok, set()).add(entity_id)
-
-    def remove(self, text: str, entity_id: str) -> None:
-        for tok in normalize(text).split():
-            self._shard(tok).get(tok, set()).discard(entity_id)
+            self._postings.setdefault(tok, set()).add(entity_id)
 
     def lookup(self, text: str) -> set[str]:
         """Entity ids whose indexed surface forms contain *all* tokens."""
@@ -64,7 +29,7 @@ class InvertedIndex:
             return set()
         acc: set[str] | None = None
         for tok in toks:
-            postings = self._shard(tok).get(tok, set())
+            postings = self._postings.get(tok, set())
             acc = set(postings) if acc is None else acc & postings
             if not acc:
                 return set()
@@ -74,5 +39,5 @@ class InvertedIndex:
         """Union semantics — recall-oriented retrieval."""
         out: set[str] = set()
         for tok in normalize(text).split():
-            out |= self._shard(tok).get(tok, set())
+            out |= self._postings.get(tok, set())
         return out

@@ -13,7 +13,7 @@ argument from a previous answer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.live.construction import LiveGraph
 from repro.live.kgq import LiveQueryEngine, QueryResult
@@ -60,9 +60,9 @@ _PRONOUNS = {"she", "he", "they", "her", "him", "them", "it"}
 class IntentHandler:
     """Processes annotated NL queries by routing intents to KGQ."""
 
-    def __init__(self, graph: LiveGraph, engine: LiveQueryEngine | None = None):
+    def __init__(self, graph: LiveGraph, engine: LiveQueryEngine):
         self.graph = graph
-        self.engine = engine or LiveQueryEngine(graph)
+        self.engine = engine
         self.context: list[Turn] = []
 
     # -- entity binding -------------------------------------------------------

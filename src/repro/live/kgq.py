@@ -18,8 +18,7 @@ operations with operator push-down (type filters applied at retrieval).
 from __future__ import annotations
 
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.live.construction import LiveGraph
@@ -55,6 +54,8 @@ _GRAMMAR = re.compile(
     re.IGNORECASE | re.VERBOSE,
 )
 _OP_GRAMMAR = re.compile(r"^\s*OP\s+(?P<name>\w+)\((?P<args>[^)]*)\)\s*$", re.IGNORECASE)
+#: query-result cache capacity (entries); the cache stops filling there
+CACHE_SIZE = 1024
 
 
 def parse(text: str) -> KGQQuery:
@@ -82,11 +83,10 @@ class LiveQueryEngine:
     execution optimizations).
     """
 
-    def __init__(self, graph: LiveGraph, *, cache_size: int = 1024):
+    def __init__(self, graph: LiveGraph):
         self.graph = graph
         self.virtual_ops: dict[str, Callable[..., str]] = {}
         self._cache: dict[str, list[QueryResult]] = {}
-        self._cache_size = cache_size
 
     # -- virtual operators -------------------------------------------------
     def register_operator(self, name: str, expand: Callable[..., str]) -> None:
@@ -108,7 +108,7 @@ class LiveQueryEngine:
             result = self.execute(expanded)
         else:
             result = self._run(parse(text))
-        if len(self._cache) < self._cache_size:
+        if len(self._cache) < CACHE_SIZE:
             self._cache[text] = result
         return result
 
@@ -137,9 +137,3 @@ class LiveQueryEngine:
                     vals[p] = self.graph.facts_of(e, p)
             out.append(QueryResult(e, vals))
         return out
-
-    def timed_execute(self, text: str) -> tuple[list[QueryResult], float]:
-        """Execute and return (results, latency_ms) — the E7 harness."""
-        t0 = time.perf_counter()
-        r = self.execute(text)
-        return r, (time.perf_counter() - t0) * 1e3

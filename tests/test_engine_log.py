@@ -44,6 +44,20 @@ class TestOperationLog:
     def test_empty_log(self, tmp_path):
         assert OperationLog(tmp_path / "log.jsonl").read_from(0) == []
 
+    def test_torn_tail_dropped_on_reopen(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        log = OperationLog(p)
+        log.append({"kind": "a"})
+        log.append({"kind": "b"})
+        with open(p, "a") as f:  # a crash mid-append: no trailing newline
+            f.write('{"lsn": 3, "ki')
+        log2 = OperationLog(p)
+        assert [o["kind"] for o in log2.read_from(0)] == ["a", "b"]
+        assert log2.append({"kind": "c"}) == 3
+        assert [(o["lsn"], o["kind"]) for o in OperationLog(p).read_from(0)] == [
+            (1, "a"), (2, "b"), (3, "c"),
+        ]
+
 
 class TestMetadataStore:
     def test_default_zero(self, tmp_path):

@@ -3,13 +3,14 @@ import pytest
 
 from repro.live.construction import LiveGraph, stable_records_from_universe
 from repro.live.intents import IntentHandler
+from repro.live.kgq import LiveQueryEngine
 
 
 @pytest.fixture()
 def handler(uni):
     g = LiveGraph()
     g.load_stable(stable_records_from_universe(uni))
-    return IntentHandler(g)
+    return IntentHandler(g, LiveQueryEngine(g))
 
 
 def _person_with(uni, pred):

@@ -15,6 +15,16 @@ class TestStableLoad:
     def test_every_entity_served(self, graph, uni):
         assert len(graph.kv) == len(uni.entities)
 
+    def test_every_document_reads_back(self, graph, uni):
+        for r in stable_records_from_universe(uni):
+            doc = graph.get(r["id"])
+            assert (doc["id"], doc["names"], doc["types"]) == (r["id"], r["names"], r["types"])
+            assert doc["facts"] == r["facts"] and doc["neighbors"] == r["neighbors"]
+
+    def test_get_missing_is_none(self, graph):
+        assert graph.get("nope") is None
+        assert graph.facts_of("nope", "name") == []
+
     def test_find_by_name(self, graph, uni):
         eid = int(uni.entities.eid.iloc[0])
         assert str(eid) in graph.find(uni.name_of(eid))
@@ -38,6 +48,14 @@ class TestStreaming:
                               name="Cup Final", etype="game"))
         assert graph.facts_of("game:1", "score") == ["3-2"]
         assert "game:1" in graph.find("cup final")
+
+    def test_live_entity_document_matches_stable_shape(self, graph, uni):
+        graph.apply(LiveEvent("live_fact", "game:1", "score", "3-2",
+                              name="Cup Final", etype="game"))
+        stable = graph.get(str(int(uni.entities.eid.iloc[0])))
+        live = graph.get("game:1")
+        assert set(live) == set(stable)
+        assert (live["names"], live["types"]) == (["Cup Final"], ["game"])
 
     def test_live_fact_update_in_place(self, graph):
         graph.apply(LiveEvent("live_fact", "game:1", "score", "0-0",
@@ -79,9 +97,9 @@ class TestCuration:
                               value="corrected", action="edit"))
         assert graph.facts_of(eid, row.predicate) == ["corrected"]
 
-    def test_curations_logged_for_stable_construction(self, graph):
-        graph.apply(LiveEvent("curation", "e1", "p", action="block"))
-        assert len(graph.curation_log) == 1
+    def test_curation_of_unknown_entity_is_ignored(self, graph):
+        graph.apply(LiveEvent("curation", "nope", "p", action="block"))
+        assert graph.get("nope") is None
 
     def test_unknown_action_raises(self, graph):
         with pytest.raises(ValueError):

@@ -1,41 +1,26 @@
-"""Unit tests for the live serving substrates (§4.1)."""
+"""Unit tests for the live serving substrates (§4.1): the inverted index
+and the KV store of entity documents (``LiveGraph.kv``)."""
 import pytest
 
-from repro.live.index import InvertedIndex, KVStore
+from repro.live.construction import LiveEvent, LiveGraph
+from repro.live.index import InvertedIndex
 
 
 class TestKVStore:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    def test_put_get_across_shards(self, n_shards):
-        kv = KVStore(n_shards)
+    """``LiveGraph.kv`` is one plain dict; the test keeps the name it had
+    when the store hash-routed keys over shards."""
+
+    @pytest.mark.parametrize("n_writes", [1, 2, 4, 8])
+    def test_put_get_across_shards(self, n_writes):
+        graph = LiveGraph()
+        for w in range(n_writes):
+            for i in range(50):
+                graph.apply(LiveEvent("live_fact", f"e{i}", "v", (i, w),
+                                      name=f"name{i}"))
+        assert len(graph.kv) == 50
         for i in range(50):
-            kv.put(f"e{i}", {"v": i})
-        assert len(kv) == 50
-        for i in range(50):
-            assert kv.get(f"e{i}") == {"v": i}
-
-    def test_get_missing_is_none(self):
-        assert KVStore().get("nope") is None
-
-    def test_overwrite(self):
-        kv = KVStore()
-        kv.put("a", {"v": 1})
-        kv.put("a", {"v": 2})
-        assert kv.get("a") == {"v": 2}
-        assert len(kv) == 1
-
-    def test_delete(self):
-        kv = KVStore()
-        kv.put("a", {})
-        kv.delete("a")
-        kv.delete("a")  # idempotent
-        assert kv.get("a") is None
-
-    def test_shard_sizes_sum(self):
-        kv = KVStore(4)
-        for i in range(97):
-            kv.put(f"k{i}", {})
-        assert sum(kv.shard_sizes()) == 97
+            assert graph.facts_of(f"e{i}", "v") == [(i, n_writes - 1)]
+            assert graph.find(f"name{i}") == [f"e{i}"]
 
 
 class TestInvertedIndex:
@@ -58,20 +43,19 @@ class TestInvertedIndex:
         ix.add("HANOVER", "e1")
         assert ix.lookup("hanover") == {"e1"}
 
-    def test_remove(self):
-        ix = InvertedIndex()
-        ix.add("Rome", "e1")
-        ix.add("Rome", "e2")
-        ix.remove("Rome", "e1")
-        assert ix.lookup("rome") == {"e2"}
-
     def test_empty_query(self):
         assert InvertedIndex().lookup("") == set()
 
-    @pytest.mark.parametrize("n_shards", [1, 3, 7])
-    def test_sharding_transparent(self, n_shards):
-        ix = InvertedIndex(n_shards)
+    @pytest.mark.parametrize("n_shared", [1, 3, 7])
+    def test_sharding_transparent(self, n_shared):
+        # One posting dict serves every token: entities sharing n_shared
+        # tokens are all found by all- and any-token lookups, and a unique
+        # token still finds its one entity.
+        shared = " ".join(f"common{k}" for k in range(n_shared))
+        ix = InvertedIndex()
         for i in range(40):
-            ix.add(f"name{i} common", f"e{i}")
-        assert len(ix.lookup("common")) == 40
+            ix.add(f"name{i} {shared}", f"e{i}")
+        assert len(ix.lookup(shared)) == 40
+        assert len(ix.lookup_any(shared)) == 40
         assert ix.lookup("name7") == {"e7"}
+        assert ix.lookup(f"name7 {shared}") == {"e7"}
