@@ -8,11 +8,11 @@ predicates fuse last via per-source partition overwrite — exactly the
 paper's parallelization structure.  Onboarding a brand-new source is a
 full *Added* payload (``compute_delta(None, ...)``).
 
-A payload replaces the claims of its records, whatever their kind: the
-fused triples and the link map are derived from the record-scoped claims
-ledger (:mod:`repro.core.fusion`).  The state that a payload changes is
-locally checkpointed, so the incremental loop does not accumulate Spark
-lineage.
+A payload replaces the claims of its records, whatever their kind, in the
+record-scoped claims ledger (:mod:`repro.core.fusion`); the link map is
+read from the ledger, and the fused triples are derived from it once, when
+the tick closes.  The state that a payload changes is locally
+checkpointed, so the incremental loop does not accumulate Spark lineage.
 """
 from __future__ import annotations
 
@@ -39,7 +39,9 @@ class KnowledgeGraph:
     """Construction state: the claims ledger (one row per KG-namespace fact,
     source, source record and trust, after OBR and relationship-node
     alignment), the fused stable triples derived from it, and per-source
-    volatile partitions."""
+    volatile partitions.  Mid-tick, after a payload has changed the ledger,
+    ``triples`` are still the tick-start triples; ``consume_tick`` derives
+    them again when the tick closes."""
 
     triples: DataFrame
     volatile: dict[str, DataFrame]
@@ -104,21 +106,19 @@ class ConstructionPipeline:
 
     # -- per-source pipeline ------------------------------------------------
     def consume_source(
-        self,
-        kg: KnowledgeGraph,
-        payload: SourcePayload,
-        kg_records: DataFrame,
-        resolver=None,
+        self, kg: KnowledgeGraph, payload: SourcePayload, kg_records: DataFrame
     ) -> KnowledgeGraph:
         """Replace one source's claims (``same_as`` links included) for the
-        records of its Added, Updated and Deleted payloads, and fuse.
+        records of its Added, Updated and Deleted payloads in the ledger.
 
-        Added records are linked against the KG view; Updated records keep
-        the KG ids the link map gave them; Deleted records only lose their
-        claims.  Each delta partition is materialized once (eager local
-        checkpoint) before reuse: with per-action scheduling cost
-        dominating at reproduction scale, repeated lineage re-evaluation —
-        not data volume — is what would blow up construction time.
+        Added records are linked, and reference literals resolved (OBR),
+        against ``kg_records``: the ledger's match records before this
+        payload.  Updated records keep the KG ids the link map gave them;
+        Deleted records only lose their claims.  Each delta partition is
+        materialized once (eager local checkpoint) before reuse: with
+        per-action scheduling cost dominating at reproduction scale,
+        repeated lineage re-evaluation — not data volume — is what would
+        blow up construction time.
         """
         cfg, delta = payload.cfg, payload.delta
         added = delta.added.localCheckpoint(eager=True)
@@ -164,12 +164,12 @@ class ConstructionPipeline:
         )
         # Object Resolution on the incoming payload (§2.3)
         if self.obr_enabled:
-            claims = resolve_objects(claims, resolver)
+            claims = resolve_objects(claims, build_resolver(kg_records))
         ledger = fuse(retract_source(kg.ledger, cfg.name, records), claims)
         ledger = ledger.localCheckpoint(eager=True)
 
         # -- volatile partition overwrite (§2.4): cheap fusion path
-        out = KnowledgeGraph(triples=to_kg(ledger), volatile=dict(kg.volatile), ledger=ledger)
+        out = replace(kg, ledger=ledger, volatile=dict(kg.volatile))
         if payload.volatile is not None:
             out.volatile[cfg.name] = (
                 payload.volatile.join(out.links, "subject")
@@ -186,20 +186,19 @@ class ConstructionPipeline:
     ) -> KnowledgeGraph:
         """Consume every source's delta; fusion is the sync point (Fig 5).
 
-        The per-type KG view for linking is refreshed after each fusion so
-        that two sources onboarding the same new entity in one tick still
-        deduplicate (the paper fuses "source payloads one at a time").  The
-        OBR resolver is built once per tick from the first payload's view,
-        the tick-start KG's match records — new entities land in the
-        resolver at the next tick, mirroring the freshness semantics of an
-        engine-maintained NERD view (§5.2).  Truth discovery closes the
-        tick; only the triples it refines are checkpointed again.
+        Source payloads change the ledger one at a time (the paper fuses
+        "source payloads one at a time"), and each payload's linking and
+        OBR read one view of it: the match records of the ledger as the
+        previous payloads left it.  So two sources onboarding the same new
+        entity in one tick still deduplicate, and a reference in a later
+        payload resolves to an entity an earlier payload brought in.  The
+        match records are the same as those of the fused triples:
+        :func:`to_kg` only groups the ledger by fact.  The tick closes
+        with the one derivation of the fused triples, refined by truth
+        discovery and checkpointed.
         """
-        resolver = None
-        for i, payload in enumerate(payloads):
-            kg_records = match_records(kg.triples).localCheckpoint(eager=True)
-            if i == 0 and self.obr_enabled:
-                resolver = build_resolver(kg_records)
-            kg = self.consume_source(kg, payload, kg_records, resolver)
-        refined = truth_discovery(kg.triples).localCheckpoint(eager=True)
+        for payload in payloads:
+            kg_records = match_records(kg.ledger).localCheckpoint(eager=True)
+            kg = self.consume_source(kg, payload, kg_records)
+        refined = truth_discovery(to_kg(kg.ledger)).localCheckpoint(eager=True)
         return replace(kg, triples=refined)

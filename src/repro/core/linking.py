@@ -45,9 +45,9 @@ def link_source(source_triples: DataFrame, kg_records: DataFrame) -> DataFrame:
     """Link one source payload against the current KG: the link map
     (subject, kg_subject) for *every* source entity in the payload.
 
-    ``kg_records`` is ``match_records(kg_triples)`` — computed once per
-    construction tick by the caller and shared across the parallel source
-    pipelines (§2.4 inter-source parallelism).
+    ``kg_records`` is ``match_records`` of the claims ledger as the earlier
+    payloads of the tick left it, computed by the caller and shared with
+    the payload's object resolution.
     """
     src_records = match_records(source_triples)
     combined = src_records.unionByName(kg_records).localCheckpoint(eager=True)

@@ -21,10 +21,11 @@ from repro.sparktune import small_frame
 def build_resolver(kg_records: DataFrame) -> NERDIndex | None:
     """NERD index over the KG's match records (None when the KG is empty).
 
-    ``kg_records`` is ``match_records(kg_triples)``: one row per entity
-    with its surface forms and type, all that OBR's disambiguation reads
-    (it passes no mention context, so neighbours and descriptions would
-    go unused).
+    ``kg_records`` is ``match_records`` of the claims ledger (or of the
+    fused triples, which give the same records): one row per entity with
+    its surface forms and type, all that OBR's disambiguation reads (it
+    passes no mention context, so neighbours and descriptions would go
+    unused).
     """
     rows = kg_records.select("subject", "aliases", "etype").collect()
     if not rows:

@@ -53,15 +53,14 @@ class Prediction:
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    """Weights of the disambiguation scorer; ``use_context=False`` +
-    ``w_importance`` high reproduces the deployed baseline."""
+    """Weights of the disambiguation scorer; a zero weight skips its term.
+    ``w_context=0`` + ``w_importance`` high reproduces the deployed
+    baseline."""
 
     w_name: float = 3.0
     w_context: float = 4.0
     w_importance: float = 0.8
     w_type: float = 2.5
-    use_context: bool = True
-    use_type_hint: bool = True
     nil_score: float = 1.0
     temperature: float = 0.8
 
@@ -72,7 +71,7 @@ class ScorerConfig:
 #: baseline would reject nearly everything at high thresholds.
 BASELINE_CONFIG = ScorerConfig(
     w_name=3.0, w_context=0.0, w_importance=1.6, w_type=0.0,
-    use_context=False, use_type_hint=False, nil_score=1.0, temperature=0.4,
+    nil_score=1.0, temperature=0.4,
 )
 NERD_CONFIG = ScorerConfig()
 
@@ -98,8 +97,8 @@ class NERDIndex:
         """Top-k likely matches by surface similarity (+importance tiebreak).
 
         Recall-oriented: token hits ∪ 4-gram hits survive to scoring; a
-        type hint (when honoured by the caller's scorer) restricts the
-        pool — the paper's Object-Resolution precision lever (Fig 14b).
+        type hint restricts the pool — the paper's Object-Resolution
+        precision lever (Fig 14b).
         """
         pool: set[str] = set()
         norm = normalize(mention)
@@ -137,8 +136,7 @@ class NERDIndex:
         Confidence is a calibrated softmax over candidate scores plus a
         NIL option; callers threshold it (the Fig 14 sweeps).
         """
-        hint = type_hint if config.use_type_hint else None
-        cands = self.candidates(mention, k=k, type_hint=hint)
+        cands = self.candidates(mention, k=k, type_hint=type_hint)
         if not cands:
             return Prediction(None, 1.0)
         ctx_toks = {t for t in normalize(context).split() if t not in _STOP}
@@ -146,12 +144,12 @@ class NERDIndex:
         for e in cands:
             rec = self.records[e]
             z = config.w_name * self._name_sim(mention, rec)
-            if config.use_context:
+            if config.w_context:
                 inter = len(ctx_toks & rec.evidence_tokens())
                 z += config.w_context * min(1.0, inter / 3.0)
             z += config.w_importance * min(1.0, rec.importance)
-            if hint is not None and config.w_type:
-                z += config.w_type * (1.0 if hint in rec.types else -1.0)
+            if type_hint is not None and config.w_type:
+                z += config.w_type * (1.0 if type_hint in rec.types else -1.0)
             zs.append((z / config.temperature, e))
         m = max(max(z for z, _ in zs), config.nil_score)
         exp_nil = math.exp(config.nil_score - m)

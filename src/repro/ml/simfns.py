@@ -61,10 +61,3 @@ def levenshtein_sim(a: str, b: str) -> float:
         return 1.0
     return 1.0 - _lev(a, b) / max(len(a), len(b))
 
-
-def token_jaccard(a: str, b: str) -> float:
-    """Whole-token Jaccard — context-overlap feature for NERD."""
-    ta, tb = set(normalize(a).split()), set(normalize(b).split())
-    if not ta and not tb:
-        return 1.0
-    return len(ta & tb) / len(ta | tb)

@@ -12,6 +12,7 @@ from repro.core import schema as S
 from repro.core.construction import ConstructionPipeline, SourcePayload, empty_kg
 from repro.core.delta import compute_delta
 from repro.core.ingestion import IngestionPipeline
+from repro.core.matching import match_records
 from repro.kgdata.sources import SourceConfig, source_snapshot
 
 SOURCES = [
@@ -149,6 +150,54 @@ class TestStateEvolution:
         ).count()
         assert resolved > 0
 
+    @pytest.mark.parametrize("state", [0, -1], ids=["onboarding", "after_ticks"])
+    def test_ledger_gives_the_fused_kgs_match_records(self, history, state):
+        """Linking and OBR read ``match_records(kg.ledger)``: the records are
+        those of the fused triples, which only group the ledger by fact."""
+        states, _, _ = history
+        kg = states[state]
+
+        def rows(triples):
+            return sorted(
+                (r.subject, r.etype, tuple(r.aliases), tuple(sorted(r.attrs.items())))
+                for r in match_records(triples).collect()
+            )
+
+        assert rows(kg.ledger) == rows(kg.triples)
+
+
+def _source_frame(spark, cfg, facts):
+    """A source's ingested triples, from (subject, predicate, obj) facts."""
+    rows = [(s, p, None, None, o, S.DEFAULT_LOCALE, cfg.name, cfg.trust) for s, p, o in facts]
+    pdf = pd.DataFrame(rows, columns=S.SOURCE_TRIPLE_SCHEMA.fieldNames())
+    return spark.createDataFrame(pdf, schema=S.SOURCE_TRIPLE_SCHEMA).localCheckpoint(eager=True)
+
+
+class TestOnboardingObr:
+    """Two sources onboard in one tick: a reference literal of the second
+    payload resolves to an entity that only the first payload carries."""
+
+    GEO = SourceConfig("geo", ("city",), trust=0.9)
+    BIO = SourceConfig("bio", ("person",), trust=0.8)
+
+    def test_second_payload_resolves_against_the_first(self, tuned_spark):
+        geo = _source_frame(tuned_spark, self.GEO, [
+            ("geo:1", "type", "city"), ("geo:1", "name", "Quillhaven Harbour"),
+        ])
+        bio = _source_frame(tuned_spark, self.BIO, [
+            ("bio:1", "type", "person"), ("bio:1", "name", "Orla Penhallow"),
+            ("bio:1", "birthplace", "Quillhaven Harbour"),
+        ])
+        kg = ConstructionPipeline(tuned_spark).consume_tick(empty_kg(tuned_spark), [
+            SourcePayload(self.GEO, compute_delta(None, geo)),
+            SourcePayload(self.BIO, compute_delta(None, bio)),
+        ])
+        links = {r.subject: r.kg_subject for r in kg.links.collect()}
+        births = {r.obj for r in kg.triples.filter(
+            (F.col("subject") == links["bio:1"]) & (F.col("predicate") == "birthplace")
+        ).collect()}
+        assert births == {links["geo:1"]}
+
 
 class TestSiblingRecords:
     """Two records of one source linked to one KG id: updating one of them,
@@ -162,16 +211,10 @@ class TestSiblingRecords:
         ("solo:2", "birthdate", "1815-12-10"), ("solo:2", "alias", "Augusta Ada King"),
     ]
 
-    def _snapshot(self, spark, facts):
-        rows = [(s, p, None, None, o, S.DEFAULT_LOCALE, self.CFG.name, self.CFG.trust)
-                for s, p, o in facts]
-        pdf = pd.DataFrame(rows, columns=S.SOURCE_TRIPLE_SCHEMA.fieldNames())
-        return spark.createDataFrame(pdf, schema=S.SOURCE_TRIPLE_SCHEMA).localCheckpoint(eager=True)
-
     @pytest.fixture(scope="class")
     def onboarded(self, tuned_spark):
         pipe = ConstructionPipeline(tuned_spark)
-        snap = self._snapshot(tuned_spark, self.FACTS)
+        snap = _source_frame(tuned_spark, self.CFG, self.FACTS)
         kg = pipe.consume_tick(
             empty_kg(tuned_spark), [SourcePayload(self.CFG, compute_delta(None, snap))]
         )
@@ -181,7 +224,7 @@ class TestSiblingRecords:
 
     def _tick(self, spark, onboarded, facts):
         pipe, snap, kg, kg_id = onboarded
-        delta = compute_delta(snap, self._snapshot(spark, facts))
+        delta = compute_delta(snap, _source_frame(spark, self.CFG, facts))
         new = pipe.consume_tick(kg, [SourcePayload(self.CFG, delta)])
         return {(r.predicate, r.obj) for r in new.triples.filter(
             (F.col("subject") == kg_id) & F.array_contains("sources", self.CFG.name)

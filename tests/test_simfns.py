@@ -10,7 +10,7 @@ WORDS = st.text(
     max_size=20,
 )
 
-ALL_SIMS = [sf.jaccard_qgram, sf.hamming_sim, sf.levenshtein_sim, sf.token_jaccard]
+ALL_SIMS = [sf.jaccard_qgram, sf.hamming_sim, sf.levenshtein_sim]
 
 
 class TestNormalize:
@@ -62,7 +62,7 @@ class TestSimilarityProperties:
         assert s1 == pytest.approx(s2)
         assert 0.0 <= s1 <= 1.0
 
-    @pytest.mark.parametrize("fn", [sf.jaccard_qgram, sf.token_jaccard])
+    @pytest.mark.parametrize("fn", [sf.jaccard_qgram])
     def test_disjoint_strings_are_zero(self, fn):
         assert fn("aaaa bbbb", "cccc dddd") == pytest.approx(0.0, abs=1e-9)
 
@@ -84,13 +84,6 @@ class TestKnownValues:
     )
     def test_levenshtein_ranges(self, a, b, lo, hi):
         assert lo <= sf.levenshtein_sim(a, b) <= hi
-
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [("a b c", "a b c", 1.0), ("a b", "b c", 1 / 3), ("x", "y", 0.0)],
-    )
-    def test_token_jaccard_values(self, a, b, expected):
-        assert sf.token_jaccard(a, b) == pytest.approx(expected)
 
     def test_hamming_prefix_alignment(self):
         assert sf.hamming_sim("abcd", "abce") == pytest.approx(0.75)
